@@ -7,10 +7,12 @@ Two tables:
    engine call over the whole batch, so throughput rises with the batch
    cap; the memo-off ablation shows the margin without the engine cache
    hiding the per-call cost.
-2. **Fault injection** — the burst under injected source latency,
-   transient errors, and tight deadlines. Degradation must be *graceful*:
-   every request ends in an explicit terminal status (OK / TIMEOUT /
-   REJECTED / ERROR), never a crash or a silently wrong confidence.
+2. **Fault injection** — the burst under latency, transient errors, and
+   tight deadlines injected on every source's gateway lane. Degradation
+   must be *graceful*: every request ends in an explicit terminal status
+   (OK / TIMEOUT / REJECTED / ERROR), never a crash or a silently wrong
+   confidence; a source that stays down past its retries is excluded and
+   the answer is marked degraded.
 """
 
 import asyncio
@@ -22,6 +24,7 @@ from repro.sources import SourceCollection, SourceDescriptor
 from repro.service import (
     FaultPolicy,
     MediatorService,
+    PerSourceGateway,
     RequestStatus,
     SchedulerConfig,
 )
@@ -73,7 +76,7 @@ def _run_config(collection, domain, requests, batch, cache_size, policy=None,
             max_batch=batch,
             engine_cache_size=cache_size,
         ),
-        fault_policy=policy,
+        gateway=PerSourceGateway(default=policy, seed=7),
     )
     start = time.perf_counter()
     responses = asyncio.run(_burst(service, requests, timeout=timeout))
@@ -147,17 +150,9 @@ def test_e16_fault_injection(benchmark, results_dir):
         rows = []
         scenarios = [
             ("healthy", None, None),
-            ("latency 2ms", FaultPolicy(latency=0.002, seed=11), None),
-            (
-                "errors 50%",
-                FaultPolicy(error_rate=0.5, seed=7),
-                None,
-            ),
-            (
-                "latency + 5ms deadline",
-                FaultPolicy(latency=0.01, seed=11),
-                0.005,
-            ),
+            ("latency 2ms", FaultPolicy(latency=0.002), None),
+            ("errors 50%", FaultPolicy(error_rate=0.5), None),
+            ("latency + 5ms deadline", FaultPolicy(latency=0.01), 0.005),
         ]
         for label, policy, timeout in scenarios:
             service, responses, elapsed = _run_config(
@@ -175,31 +170,37 @@ def test_e16_fault_injection(benchmark, results_dir):
                 (
                     label,
                     by_status[RequestStatus.OK],
+                    counters.get("responses_degraded", 0),
                     by_status[RequestStatus.TIMEOUT],
                     by_status[RequestStatus.ERROR],
-                    counters.get("source_read_retries", 0),
+                    counters.get("source_hedges", 0),
                     f"{1000 * latency['p95']:7.2f}",
                 )
             )
         healthy, latency_row, errors, deadline = rows
-        assert healthy[1] == requests            # all OK when healthy
+        assert healthy[1] == requests and healthy[2] == 0  # all OK, exact
         assert latency_row[1] == requests        # latency alone only slows
-        assert errors[1] + errors[3] == requests  # errors: OK or explicit ERROR
-        assert errors[4] > 0                      # ...after real retries
-        assert deadline[2] > 0                    # deadlines expire explicitly
+        assert errors[1] == requests              # lost sources degrade...
+        assert errors[5] > 0                      # ...after real retries
+        assert deadline[3] > 0                    # deadlines expire explicitly
         return rows
 
     rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
     write_table(
         "e16_faults",
         f"E16: fault injection over a {requests}-request burst "
-        "(6-source chain, batch 8, retries 3)",
-        ["scenario", "ok", "timeout", "error", "retries", "p95 ms"],
+        "(6-source chain, batch 8, faults on every source's lane)",
+        ["scenario", "ok", "degraded", "timeout", "error", "retries",
+         "p95 ms"],
         rows,
         notes=[
             "every request ends in an explicit terminal status — the "
             "service never crashes or answers from a wrong snapshot",
             "TIMEOUT responses carry no confidences (no silently late or "
             "partial answers)",
+            "retries = re-launched probe attempts (one per source per "
+            "batch at the default max_hedges=1); a source whose attempts "
+            "all fail is excluded and the OK answer is degraded: its "
+            "annotation demoted to <c=0, s=0>",
         ],
     )

@@ -6,9 +6,8 @@ individual sources down (crash, partition, flap) while an open-loop
 request burst runs against the mediator service, and the harness measures
 what the breakers + semantic degradation buy:
 
-* **availability** — fraction of requests ending OK. The legacy whole-read
-  path turns one crashed source into a blanket ``ERROR`` for everyone; the
-  resilience layer answers from the remaining sources instead.
+* **availability** — fraction of requests ending OK: the service answers
+  from the remaining sources instead of failing the batch.
 * **answer quality** — what the degraded answers still guarantee: certain
   answers retained vs downgraded-to-possible, per the paper's semantics
   over the demoted (⟨c=0, s=0⟩) annotations.
@@ -25,9 +24,9 @@ Usage::
 
 Writes ``benchmarks/results/e22_resilience.txt`` and a JSON trajectory
 entry (default ``BENCH_resilience.json`` at the repo root). Exits non-zero
-when a crashed request is observed, when resilient availability under the
-hard-down scenario falls below the floor, or when the flap scenario's
-breaker never re-opens.
+when a crashed request is observed, when availability under the hard-down
+scenario falls below the floor, or when the flap scenario's breaker never
+re-opens.
 """
 
 from __future__ import annotations
@@ -58,7 +57,7 @@ from repro.sources import SourceCollection, SourceDescriptor
 
 from benchmarks.conftest import write_table
 
-#: Resilient availability under one hard-down source must stay above this.
+#: Availability under one hard-down source must stay above this.
 AVAILABILITY_FLOOR = 0.95
 
 QUERY = parse_rule("ans(x) <- R(x)")
@@ -96,18 +95,14 @@ def resilience_config() -> ResilienceConfig:
 
 
 async def _drive(collection, domain, chaos: str, requests: int, pace: float,
-                 resilient: bool, seed: int):
+                 seed: int):
     """One scenario: a paced request burst under a chaos schedule."""
     gateway = PerSourceGateway(seed=seed)
     runner = ChaosRunner(gateway, ChaosSchedule.parse(chaos, seed=seed))
     service = MediatorService(
         collection, domain,
         config=SchedulerConfig(
-            batch_window=0.0,
-            max_attempts=2,
-            backoff_base=0.001,
-            backoff_seed=seed,
-            resilience=resilience_config() if resilient else None,
+            batch_window=0.0, resilience=resilience_config()
         ),
         gateway=gateway,
     )
@@ -207,20 +202,18 @@ def main(argv=None) -> int:
         f"{int(span_ms * 0.7)}:S2:crash"
     )
     scenarios = {
-        "healthy": ("", True),
-        "hard_down": ("0:S2:crash", True),
-        "hard_down_legacy": ("0:S2:crash", False),
-        "partition": ("0:S2:partition", True),
-        "flap_recover_flap": (flap, True),
+        "healthy": "",
+        "hard_down": "0:S2:crash",
+        "partition": "0:S2:partition",
+        "flap_recover_flap": flap,
     }
 
     results = {}
     rows = []
     wall = time.perf_counter()
-    for name, (chaos, resilient) in scenarios.items():
+    for name, chaos in scenarios.items():
         outcome, stats, degraded_sets = asyncio.run(
-            _drive(collection, domain, chaos, requests, pace,
-                   resilient, args.seed)
+            _drive(collection, domain, chaos, requests, pace, args.seed)
         )
         outcome["differential_checks"] = check_degraded_semantics(
             collection, domain, degraded_sets
@@ -229,13 +222,11 @@ def main(argv=None) -> int:
         counters = stats["metrics"]["counters"]
         outcome["counters"] = {
             k: counters[k] for k in sorted(counters)
-            if k.startswith(("breaker", "source_", "retry", "responses_",
-                             "degraded"))
+            if k.startswith(("breaker", "source_", "responses_", "degraded"))
         }
         results[name] = outcome
         rows.append([
             name,
-            "on" if resilient else "off",
             f"{100 * outcome['availability']:6.1f}%",
             outcome["degraded"],
             outcome["error"],
@@ -245,21 +236,16 @@ def main(argv=None) -> int:
         ])
     elapsed = time.perf_counter() - wall
 
-    resilient_avail = results["hard_down"]["availability"]
-    legacy_avail = results["hard_down_legacy"]["availability"]
+    hard_avail = results["hard_down"]["availability"]
     crashed = sum(r["crashed_requests"] for r in results.values())
     flap_t = results["flap_recover_flap"]["transitions"]
     failures = []
     if crashed:
         failures.append(f"{crashed} unhandled request exceptions")
-    if resilient_avail < AVAILABILITY_FLOOR:
+    if hard_avail < AVAILABILITY_FLOOR:
         failures.append(
-            f"hard-down availability {resilient_avail:.2f} < floor "
+            f"hard-down availability {hard_avail:.2f} < floor "
             f"{AVAILABILITY_FLOOR}"
-        )
-    if resilient_avail <= legacy_avail:
-        failures.append(
-            "resilience bought no availability over the legacy path"
         )
     if not (flap_t["reopened"] >= 1 and flap_t["half_opened"] >= 1
             and flap_t["closed"] >= 1):
@@ -268,20 +254,17 @@ def main(argv=None) -> int:
     notes = [
         f"mode={mode}; {n} sound-only sources, {requests} paced requests "
         f"per scenario, seed={args.seed}; wall {elapsed:.1f}s",
-        f"headline: hard-down availability {100 * resilient_avail:.0f}% "
-        f"resilient vs {100 * legacy_avail:.0f}% legacy "
+        f"headline: hard-down availability {100 * hard_avail:.0f}% "
         f"(floor {100 * AVAILABILITY_FLOOR:.0f}%) -> "
         f"{'PASS' if not failures else 'FAIL'}",
         "degraded answers differentially checked against the statically "
         "demoted collection (paper semantics) every scenario",
-        "legacy = whole-read gateway, no breakers: one crashed source "
-        "fails the entire batch read",
     ]
     table = write_table(
         "e22_resilience",
         "E22: availability and answer quality under per-source outages",
-        ["scenario", "resilience", "avail", "degraded", "error",
-         "crashed", "opens", "half-opens"],
+        ["scenario", "avail", "degraded", "error", "crashed", "opens",
+         "half-opens"],
         rows,
         notes=notes,
     )
@@ -297,8 +280,7 @@ def main(argv=None) -> int:
         "scenarios": results,
         "acceptance": {
             "availability_floor": AVAILABILITY_FLOOR,
-            "hard_down_availability": resilient_avail,
-            "legacy_availability": legacy_avail,
+            "hard_down_availability": hard_avail,
             "crashed_requests": crashed,
             "flap_transitions": flap_t,
             "passed": not failures,

@@ -21,10 +21,11 @@ Commands operate on source-collection files in the :mod:`repro.io` format:
   (``repro.service``) against an open-loop burst of confidence requests and
   report the observability snapshot; ``--json`` emits it machine-readable;
   ``--shards N`` answers query requests over a sharded certain database.
-  ``--resilience`` (implied by ``--source-fault`` / ``--chaos``) enables the
-  per-source availability layer (``repro.resilience``): circuit breakers,
-  per-source timeouts, hedged probes, and semantically degraded answers;
-  ``--chaos`` scripts deterministic per-source outages over the burst.
+  Every batch first probes each source through the per-source
+  availability layer (``repro.resilience``): circuit breakers, per-source
+  timeouts, retried and hedged probes, and semantically degraded answers.
+  ``--fault-*`` injects faults on every source, ``--source-fault`` on one,
+  and ``--chaos`` scripts deterministic per-source outages over the burst.
 
 Exit status: 0 on success (and a consistent collection for ``check``),
 1 for an inconsistent collection, 2 for usage/input errors.
@@ -213,15 +214,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--fault-latency-ms", type=float, default=0.0,
-        help="injected source-read latency in milliseconds",
+        help="injected read latency in milliseconds on every source "
+        "(the gateway's default lane policy)",
     )
     serve.add_argument(
         "--fault-error-rate", type=float, default=0.0,
-        help="injected transient source-read failure probability",
-    )
-    serve.add_argument(
-        "--fault-stale-rate", type=float, default=0.0,
-        help="probability a source read serves a superseded snapshot",
+        help="injected transient read-failure probability on every source "
+        "(the gateway's default lane policy)",
     )
     serve.add_argument(
         "--shards", type=int, default=1, metavar="N",
@@ -234,22 +233,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument("--seed", type=int, default=0, help="fault RNG seed")
     serve.add_argument(
-        "--resilience", action="store_true",
-        help="enable the per-source availability layer (repro.resilience): "
-        "circuit breakers, per-source timeouts, hedged probes, degraded "
-        "answers; implied by --source-fault and --chaos",
-    )
-    serve.add_argument(
         "--source-fault", action="append", default=[], metavar="NAME:MODE",
         help="per-source fault active from the start, e.g. S1:crash, "
-        "S2:error:0.8, S1:slow:20, S2:partition; repeatable, implies "
-        "--resilience",
+        "S2:error:0.8, S1:slow:20, S2:partition; repeatable",
     )
     serve.add_argument(
         "--chaos", default=None, metavar="SPEC",
         help="deterministic outage schedule over the burst, e.g. "
         "'0:S1:crash, 400:S1:ok' (AT_MS:SOURCE:MODE[:ARG], comma-"
-        "separated); implies --resilience",
+        "separated)",
     )
     serve.add_argument(
         "--source-timeout-ms", type=float, default=50.0,
@@ -268,10 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--breaker-cooldown-ms", type=float, default=250.0,
         help="milliseconds an open breaker waits before half-opening "
         "(default 250)",
-    )
-    serve.add_argument(
-        "--backoff-jitter", type=float, default=0.0,
-        help="seeded jitter fraction on retry backoff delays (default 0)",
     )
     serve.add_argument(
         "--cache-budget-mb", type=float, default=None, metavar="MB",
@@ -541,9 +529,11 @@ def cmd_serve(args) -> int:
     import asyncio
 
     from repro.exceptions import SourceError
+    from repro.resilience import ChaosRunner, ChaosSchedule, ResilienceConfig
     from repro.service import (
         FaultPolicy,
         MediatorService,
+        PerSourceGateway,
         RequestStatus,
         SchedulerConfig,
     )
@@ -556,18 +546,6 @@ def cmd_serve(args) -> int:
         )
     if args.requests < 1:
         raise SourceError("--requests must be >= 1")
-    policy = None
-    if (
-        args.fault_latency_ms > 0
-        or args.fault_error_rate > 0
-        or args.fault_stale_rate > 0
-    ):
-        policy = FaultPolicy(
-            latency=args.fault_latency_ms / 1000.0,
-            error_rate=args.fault_error_rate,
-            stale_rate=args.fault_stale_rate,
-            seed=args.seed,
-        )
     if args.shards < 1:
         raise SourceError("--shards must be >= 1")
     if args.cache_budget_mb is not None:
@@ -576,46 +554,37 @@ def cmd_serve(args) -> int:
         if args.cache_budget_mb < 0:
             raise SourceError("--cache-budget-mb must be >= 0")
         set_cache_budget_mb(args.cache_budget_mb)
-    resilient = bool(args.resilience or args.source_fault or args.chaos)
-    gateway = None
-    chaos_runner = None
-    resilience_config = None
-    if resilient:
-        from repro.resilience import ChaosRunner, ChaosSchedule, ResilienceConfig
-        from repro.service import PerSourceGateway
-
-        if policy is not None:
-            raise SourceError(
-                "--fault-* flags drive the whole-read injector; with "
-                "--resilience use per-source faults (--source-fault, --chaos)"
-            )
-        gateway = PerSourceGateway(seed=args.seed)
-        # --source-fault entries are chaos events at t=0; one schedule
-        # (and one deterministic runner) drives both.
-        spec_parts = [f"0:{entry}" for entry in args.source_fault]
-        if args.chaos:
-            spec_parts.append(args.chaos)
-        schedule = ChaosSchedule.parse(",".join(spec_parts), seed=args.seed)
-        chaos_runner = ChaosRunner(gateway, schedule)
-        chaos_runner.advance(0.0)
-        resilience_config = ResilienceConfig(
-            source_timeout=args.source_timeout_ms / 1000.0,
-            hedge_delay=args.hedge_ms / 1000.0,
-            error_threshold=args.breaker_threshold,
-            cooldown=args.breaker_cooldown_ms / 1000.0,
-        )
+    # --fault-* set every lane's default policy; --source-fault entries are
+    # chaos events at t=0, so one schedule (and one deterministic runner)
+    # drives both per-source flags.
+    gateway = PerSourceGateway(
+        default=FaultPolicy(
+            latency=args.fault_latency_ms / 1000.0,
+            error_rate=args.fault_error_rate,
+        ),
+        seed=args.seed,
+    )
+    spec_parts = [f"0:{entry}" for entry in args.source_fault]
+    if args.chaos:
+        spec_parts.append(args.chaos)
+    chaos_runner = ChaosRunner(
+        gateway, ChaosSchedule.parse(",".join(spec_parts), seed=args.seed)
+    )
+    chaos_runner.advance(0.0)
     config = SchedulerConfig(
         max_queue=args.queue,
         max_batch=args.batch,
         shards=args.shards,
         shard_workers=args.shard_workers,
-        backoff_jitter=args.backoff_jitter,
-        backoff_seed=args.seed,
-        resilience=resilience_config,
+        resilience=ResilienceConfig(
+            source_timeout=args.source_timeout_ms / 1000.0,
+            hedge_delay=args.hedge_ms / 1000.0,
+            error_threshold=args.breaker_threshold,
+            cooldown=args.breaker_cooldown_ms / 1000.0,
+        ),
     )
     service = MediatorService(
-        collection, args.domain, config=config, fault_policy=policy,
-        gateway=gateway,
+        collection, args.domain, config=config, gateway=gateway
     )
     timeout = None if args.deadline_ms is None else args.deadline_ms / 1000.0
     gap = args.arrival_ms / 1000.0
@@ -635,8 +604,7 @@ def cmd_serve(args) -> int:
         async with service:
             futures = []
             for i in range(args.requests):
-                if chaos_runner is not None:
-                    chaos_runner.advance(loop.time() - start)
+                chaos_runner.advance(loop.time() - start)
                 if args.churn and i and i % args.churn == 0:
                     source = service.registry.snapshot().collection[0]
                     service.update_source(source.with_bounds(

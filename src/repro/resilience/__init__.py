@@ -8,8 +8,9 @@ still entail. See ``docs/resilience.md``. Layering:
 
 * :mod:`~repro.resilience.breaker` — closed/open/half-open circuit
   breakers with EWMA error-rate and latency tracking, explicit clocking.
-* :mod:`~repro.resilience.manager` — the per-batch availability pass:
-  concurrent per-source probes, per-source timeouts, hedged retries,
+* :mod:`~repro.resilience.manager` — the per-batch availability pass,
+  the service's only read path and only retry loop: concurrent
+  per-source probes, per-source timeouts, retried and hedged attempts,
   breaker bookkeeping; produces a :class:`ProbeReport`.
 * :mod:`~repro.resilience.degrade` — the semantics: demote a lost
   source's annotation to ⟨c=0, s=0⟩ and grade answers (``certain`` vs
@@ -18,8 +19,8 @@ still entail. See ``docs/resilience.md``. Layering:
   (crash / partition / error / slow / heal) for tests, the CLI, and the
   E22 chaos benchmark.
 
-The per-source fault *injection* itself lives with the other gateways in
-:mod:`repro.service.faults` (:class:`~repro.service.faults.PerSourceGateway`).
+The per-source fault *injection* itself lives with the service's gateway
+in :mod:`repro.service.faults` (:class:`~repro.service.faults.PerSourceGateway`).
 """
 
 from repro.resilience.breaker import (

@@ -7,9 +7,13 @@ the snapshot's sources are *actually reachable right now*:
    circuit — no read, no timeout budget spent);
 2. the remaining sources are probed **concurrently** through the
    gateway's per-source seam, each under its own ``source_timeout``;
-3. a probe that is slow past ``hedge_delay`` (or that failed with hedge
-   budget left) launches a staggered duplicate — a *hedged retry*; the
-   first success wins and the stragglers are cancelled;
+3. an attempt that raised :class:`~repro.service.faults.TransientSourceError`
+   is re-launched at once, and an attempt still pending after
+   ``hedge_delay`` gets a staggered duplicate (a *hedged* probe) — at most
+   ``max_hedges`` extra attempts per source, the first success wins and
+   the stragglers are cancelled. A
+   :class:`~repro.service.faults.SourceCrashedError` is never retried.
+   This is the service's only retry loop;
 4. outcomes feed the breakers: failures open them, cooldowns half-open
    them, trial successes close them.
 
@@ -33,6 +37,7 @@ from repro.resilience.breaker import (
     BreakerState,
     CircuitBreaker,
 )
+from repro.service.faults import TransientSourceError
 
 #: Bound on remembered breaker transitions (the stats()/bench surface).
 MAX_TRANSITIONS = 256
@@ -42,10 +47,12 @@ MAX_TRANSITIONS = 256
 class ResilienceConfig:
     """Tuning knobs of the per-source availability layer.
 
-    ``source_timeout`` caps each probe (and all its hedges together);
-    ``hedge_delay`` is how long a probe may dawdle before a duplicate is
-    launched (0 disables hedging); ``max_hedges`` bounds duplicates per
-    probe. The breaker fields mirror :class:`BreakerConfig`.
+    ``source_timeout`` caps each probe (and all its re-launches
+    together); ``max_hedges`` bounds the extra attempts per probe, spent
+    on transient errors and on slow attempts alike; ``hedge_delay`` is how
+    long an attempt may dawdle before a duplicate is launched (0 = never
+    hedge on slowness, transient errors are still retried). The breaker
+    fields mirror :class:`BreakerConfig`.
     """
 
     source_timeout: float = 0.05
@@ -88,6 +95,10 @@ class ProbeReport:
     timeouts: int = 0
     hedges: int = 0
     hedge_wins: int = 0
+    #: sources whose probe needed more than one attempt
+    retried: int = 0
+    #: the most attempts any one source's probe made (0 = nothing probed)
+    attempts: int = 0
 
     @property
     def degraded(self) -> bool:
@@ -147,81 +158,93 @@ class ResilienceManager:
         loop = asyncio.get_running_loop()
         report = ProbeReport()
         excluded: List[str] = []
-        probes: List[Tuple[str, "asyncio.Task"]] = []
+        probed: List[str] = []
         for source in snapshot.collection:
             name = source.name
-            breaker = self.breaker_for(name)
-            if not breaker.allow(loop.time()):
+            if self.breaker_for(name).allow(loop.time()):
+                probed.append(name)
+            else:
                 excluded.append(name)
                 report.short_circuited += 1
                 self._count("breaker_short_circuits")
-                continue
-            probes.append(
-                (name, loop.create_task(self._probe(gateway, snapshot, name, report)))
-            )
-        for name, task in probes:
-            report.probed += 1
-            ok = await task
-            if not ok:
-                excluded.append(name)
+        outcomes = await asyncio.gather(
+            *(self._probe(gateway, snapshot, name, report) for name in probed)
+        )
+        report.probed = len(probed)
+        excluded += [name for name, ok in zip(probed, outcomes) if not ok]
         report.excluded = tuple(sorted(excluded))
         if report.excluded:
             self._count("sources_excluded", len(report.excluded))
         return report
 
     async def _probe(self, gateway, snapshot, name: str, report: ProbeReport) -> bool:
-        """One source's probe, hedged and clocked; outcome fed to its breaker."""
+        """One source's probe, retried and hedged; outcome fed to its breaker."""
         loop = asyncio.get_running_loop()
         breaker = self.breaker_for(name)
         config = self.config
         start = loop.time()
         deadline = start + config.source_timeout
-        tasks = [loop.create_task(gateway.probe(snapshot, name))]
-        hedging = config.hedge_delay > 0 and config.max_hedges > 0
+        tasks: List["asyncio.Task"] = []
+
+        def launch() -> None:
+            if tasks:
+                report.hedges += 1
+                self._count("source_hedges")
+            tasks.append(loop.create_task(gateway.probe(snapshot, name)))
+
+        def fail(outcome: str) -> bool:
+            if outcome == "timeouts":
+                report.timeouts += 1
+            else:
+                report.failures += 1
+            self._count(f"source_probe_{outcome}")
+            breaker.record_failure(loop.time() - start, loop.time())
+            return False
+
+        launch()
         try:
             while True:
                 remaining = deadline - loop.time()
                 if remaining <= 0:
-                    report.timeouts += 1
-                    self._count("source_probe_timeouts")
-                    self._failure(breaker, start, loop)
-                    return False
-                can_hedge = hedging and len(tasks) <= config.max_hedges
-                wait_for = min(remaining, config.hedge_delay) if can_hedge else remaining
+                    return fail("timeouts")
+                pending = [t for t in tasks if not t.done()]
+                if not pending:  # every attempt failed, budget spent
+                    return fail("failures")
+                budget = len(tasks) <= config.max_hedges
+                hedging = budget and config.hedge_delay > 0
                 done, _pending = await asyncio.wait(
-                    tasks, timeout=wait_for,
+                    pending,
+                    timeout=min(remaining, config.hedge_delay) if hedging else remaining,
                     return_when=asyncio.FIRST_COMPLETED,
                 )
-                winners = [t for t in done if t.exception() is None]
-                if winners:
-                    if tasks.index(winners[0]) > 0:
+                finished = [t for t in tasks if t in done]  # launch order
+                winner = next(
+                    (t for t in finished if t.exception() is None), None
+                )
+                if winner is not None:
+                    if winner is not tasks[0]:
                         report.hedge_wins += 1
                         self._count("source_hedge_wins")
                     latency = loop.time() - start
                     breaker.record_success(latency, loop.time())
                     self._observe("probe_latency", latency)
                     return True
-                all_failed = len(done) == len(tasks)
-                if all_failed and not can_hedge:
-                    report.failures += 1
-                    self._count("source_probe_failures")
-                    self._failure(breaker, start, loop)
-                    return False
-                if can_hedge:
-                    # Slow (nothing finished inside hedge_delay) or every
-                    # launched attempt failed: stagger out a duplicate.
-                    tasks.append(loop.create_task(gateway.probe(snapshot, name)))
-                    report.hedges += 1
-                    self._count("source_hedges")
+                if not all(
+                    isinstance(t.exception(), TransientSourceError)
+                    for t in finished
+                ):
+                    return fail("failures")  # crashed: retrying cannot help
+                # A transient failure, or an attempt slow past hedge_delay.
+                if budget and (done or hedging):
+                    launch()
         finally:
+            report.attempts = max(report.attempts, len(tasks))
+            report.retried += len(tasks) > 1
             for task in tasks:
                 task.cancel()
             # Reap cancellations/failures so no "exception never retrieved"
-            # warnings leak from abandoned hedges.
+            # warnings leak from abandoned attempts.
             await asyncio.gather(*tasks, return_exceptions=True)
-
-    def _failure(self, breaker: CircuitBreaker, start: float, loop) -> None:
-        breaker.record_failure(loop.time() - start, loop.time())
 
     # -- observability -----------------------------------------------------------
 

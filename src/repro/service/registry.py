@@ -34,10 +34,6 @@ from repro.confidence.blocks import IdentityInstance
 from repro.confidence.engine import kernel
 from repro.confidence.engine.memo import LRUMemo, canonical_key
 
-#: How many superseded snapshots the registry keeps reachable (for the
-#: fault injector's staleness mode and for debugging version skew).
-DEFAULT_HISTORY = 8
-
 
 class RegistrySnapshot:
     """One immutable registry version: a collection, a domain, a spec.
@@ -223,12 +219,9 @@ class SourceRegistry:
         self,
         sources: Iterable[SourceDescriptor] = (),
         domain: Sequence = (),
-        history: int = DEFAULT_HISTORY,
     ):
         self._lock = threading.Lock()
         self._head = RegistrySnapshot(0, SourceCollection(sources), domain)
-        self._history: Dict[int, RegistrySnapshot] = {0: self._head}
-        self._history_limit = max(1, history)
 
     # -- reads ------------------------------------------------------------------
 
@@ -240,15 +233,6 @@ class SourceRegistry:
     def version(self) -> int:
         with self._lock:
             return self._head.version
-
-    def past_snapshot(self, version: int) -> Optional[RegistrySnapshot]:
-        """A retained superseded snapshot, if still in the history window."""
-        with self._lock:
-            return self._history.get(version)
-
-    def history_versions(self) -> List[int]:
-        with self._lock:
-            return sorted(self._history)
 
     # -- mutations --------------------------------------------------------------
 
@@ -283,9 +267,6 @@ class SourceRegistry:
                 table.rollback(symbols)
                 raise
         self._head = new
-        self._history[new.version] = new
-        while len(self._history) > self._history_limit:
-            del self._history[min(self._history)]
         return new, diff
 
     def register(

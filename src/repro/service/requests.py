@@ -4,8 +4,9 @@ A request names the facts whose confidences are wanted and carries an
 absolute deadline; the response always reports an explicit
 :class:`RequestStatus` — the service never answers with a silently wrong or
 partial confidence map. ``OK`` responses carry exact Fractions computed
-against one registry snapshot, identified by ``snapshot_version`` so callers
-can detect (injected or real) staleness.
+against one registry snapshot, identified by ``snapshot_version``; a source
+that could not be read is named in ``excluded_sources`` and marks the
+response ``degraded``.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ class RequestStatus(enum.Enum):
     OK = "ok"                  #: exact confidences computed before the deadline
     TIMEOUT = "timeout"        #: deadline expired; no confidences returned
     REJECTED = "rejected"      #: refused at admission (queue full, bad input)
-    ERROR = "error"            #: source reads or the engine failed after retries
+    ERROR = "error"            #: the engine failed (lost sources degrade, not err)
 
     @property
     def is_terminal_failure(self) -> bool:
@@ -66,7 +67,8 @@ class ServiceResponse:
     ``confidences`` is populated only for ``OK``; every other status carries
     a human-readable ``reason`` instead. ``batch_size`` records how many
     requests shared the engine call that produced this answer (1 = dispatched
-    alone), ``attempts`` how many source-read tries the batch needed.
+    alone), ``attempts`` the most read attempts any one source's probe
+    needed in that batch (0 when every source was short-circuited).
     """
 
     request_id: int

@@ -1,4 +1,4 @@
-"""Admission, batching, deadlines, retries: the service's event loop.
+"""Admission, batching, deadlines, availability: the service's event loop.
 
 One asyncio worker drains a bounded admission queue. The control flow per
 iteration:
@@ -16,16 +16,12 @@ iteration:
 3. **expire** — requests whose deadline passed while queued are answered
    ``TIMEOUT`` before any work is spent on them; deadlines are re-checked
    after compute so a slow read never converts into a silently late answer.
-4. **read & retry** — the batch's snapshot is resolved through the source
-   gateway (the fault-injection seam) with exponential backoff (plus
-   seeded jitter) on :class:`~repro.service.faults.TransientSourceError`;
-   the retry loop never sleeps past the batch's earliest request deadline,
-   and a read that outlives the budget fails the batch with explicit
-   ``ERROR`` responses. With a :class:`ResilienceConfig` set, the whole-
-   batch read is replaced by the per-source availability pass of
-   :class:`~repro.resilience.manager.ResilienceManager`: circuit breakers,
-   per-source timeouts, hedged probes — unavailable sources are *excluded*
-   rather than failing the batch.
+4. **read** — the per-source availability pass of
+   :class:`~repro.resilience.manager.ResilienceManager` probes every
+   source of the batch's snapshot through its gateway lane: circuit
+   breakers, per-source timeouts, and the service's one retry loop
+   (transient errors re-launched, slow probes hedged). Unavailable
+   sources are *excluded* rather than failing the batch.
 5. **compute & resolve** — exact confidences from the snapshot's engine;
    when sources were excluded, the engine runs over the snapshot with
    those annotations demoted (``repro.resilience.degrade``) and responses
@@ -34,15 +30,14 @@ iteration:
    an exception.
 
 Everything observable lands in the shared :class:`MetricsRegistry` (queue
-depth, batch sizes, per-status latency histograms, retry counts, breaker
-transitions) and the :class:`Tracer` (per-batch ``source_read`` /
+depth, batch sizes, per-status latency histograms, probe and hedge counts,
+breaker transitions) and the :class:`Tracer` (per-batch ``source_read`` /
 ``engine`` spans).
 """
 
 from __future__ import annotations
 
 import asyncio
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, FrozenSet, List, Optional, Tuple
@@ -53,7 +48,7 @@ from repro.model.database import GlobalDatabase
 from repro.confidence.engine import ConfidenceEngine
 from repro.confidence.engine.memo import LRUMemo
 from repro.resilience.manager import ResilienceConfig, ResilienceManager
-from repro.service.faults import SourceGateway, TransientSourceError
+from repro.service.faults import PerSourceGateway
 from repro.service.metrics import MetricsRegistry
 from repro.service.registry import RegistrySnapshot, SourceRegistry
 from repro.service.requests import (
@@ -63,13 +58,17 @@ from repro.service.requests import (
 )
 from repro.service.tracing import Tracer
 
-#: No sources excluded: the well-known key suffix of healthy stores.
+#: No sources excluded: the well-known key suffix of healthy contexts.
 NO_EXCLUSIONS: FrozenSet[str] = frozenset()
 
+#: Snapshot contexts kept open at once; superseded versions are retired
+#: earlier, on the registry mutation that supersedes them.
+MAX_CONTEXTS = 8
 
-def _store_key_order(key: Tuple[int, FrozenSet[str]]):
-    """Total order for (version, excluded) store keys — frozensets are not
-    orderable, so eviction loops sort by (version, size, sorted names)."""
+
+def _context_key_order(key: Tuple[int, FrozenSet[str]]):
+    """Total order for (version, excluded) context keys — frozensets are
+    not orderable, so eviction sorts by (version, size, sorted names)."""
     return (key[0], len(key[1]), tuple(sorted(key[1])))
 
 
@@ -86,9 +85,6 @@ class SchedulerConfig:
     max_queue: int = 256
     max_batch: int = 16
     batch_window: float = 0.002
-    max_attempts: int = 3
-    backoff_base: float = 0.01
-    backoff_cap: float = 0.25
     engine_workers: int = 0
     #: memo capacity per engine when the scheduler has no explicit memo
     #: (None = process-wide shared memo, 0 = memoization off — E16's ablation)
@@ -97,28 +93,98 @@ class SchedulerConfig:
     shards: int = 1
     #: worker processes for scatter-gather fragments (0/1 = serial)
     shard_workers: int = 0
-    #: fraction of extra seeded jitter on each retry delay (0 = none);
-    #: delay_j = backoff(a) · (1 + U[0,1) · backoff_jitter)
-    backoff_jitter: float = 0.0
-    backoff_seed: int = 0
-    #: per-source availability layer; None = legacy whole-batch reads
-    resilience: Optional[ResilienceConfig] = None
+    #: the per-source availability pass: timeouts, retries, breakers
+    resilience: ResilienceConfig = ResilienceConfig()
 
     def __post_init__(self):
         if self.max_queue < 1:
             raise ValueError("max_queue must be >= 1")
         if self.max_batch < 1:
             raise ValueError("max_batch must be >= 1")
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
         if self.shards < 1:
             raise ValueError("shards must be >= 1")
-        if self.backoff_jitter < 0:
-            raise ValueError("backoff_jitter must be >= 0")
 
-    def backoff(self, attempt: int) -> float:
-        """Delay before retry *attempt* (1-based): base·2^(a−1), capped."""
-        return min(self.backoff_cap, self.backoff_base * (2 ** (attempt - 1)))
+
+class SnapshotContext:
+    """What one (snapshot version, excluded sources) state computes with.
+
+    ``snapshot`` is the working snapshot: the pinned one, or — with
+    sources excluded — its demoted twin, which shares the version (callers
+    still see the snapshot they pinned) but carries the collection with
+    the excluded sources' bounds weakened to ⟨0, 0⟩. ``engine`` counts
+    over it. The certain database and the shard executor are built on
+    first use and stay ``None`` until then.
+    """
+
+    __slots__ = ("snapshot", "engine", "certain_db", "executor", "_config")
+
+    def __init__(
+        self,
+        snapshot: RegistrySnapshot,
+        excluded: FrozenSet[str],
+        config: SchedulerConfig,
+        memo: Optional[LRUMemo],
+    ):
+        if excluded:
+            from repro.resilience.degrade import demote
+
+            snapshot = RegistrySnapshot(
+                version=snapshot.version,
+                collection=demote(snapshot.collection, excluded),
+                domain=snapshot.domain,
+            )
+        self.snapshot = snapshot
+        self.engine = ConfidenceEngine(
+            snapshot.instance(),
+            workers=config.engine_workers,
+            memo=memo,
+            cache_size=config.engine_cache_size,
+        )
+        self.certain_db: Optional[GlobalDatabase] = None
+        self.executor = None
+        self._config = config
+
+    def certain_database(self) -> GlobalDatabase:
+        """The working snapshot's confidence-1 facts as one database."""
+        if self.certain_db is None:
+            self.certain_db = GlobalDatabase(
+                f for f, confidence in self.engine.confidences().items()
+                if confidence == 1
+            )
+        return self.certain_db
+
+    def shard_executor(self):
+        """Scatter-gather over a partition of :meth:`certain_database`.
+
+        The sharded store partitions the same certain database the
+        single-store path queries; fragments and their plan-layer caches
+        are shared by every batch of this context.
+        """
+        if self.executor is None:
+            from repro.shard import PartitionSpec, ShardedDatabase, ShardExecutor
+
+            store = ShardedDatabase(
+                self.certain_database(), PartitionSpec(self._config.shards)
+            )
+            self.executor = ShardExecutor(
+                store, workers=self._config.shard_workers
+            )
+        return self.executor
+
+    def derived_tags(self) -> set:
+        """Bus tags of the fact sets this context built caches from."""
+        tags: set = set()
+        if self.certain_db is not None:
+            tags.add(self.certain_db.core())
+        if self.executor is not None:
+            tags.update(self.executor.sharded.built_fragments())
+        return tags
+
+    def close(self) -> None:
+        """Release the engine's and the executor's worker processes."""
+        self.engine.close()
+        if self.executor is not None:
+            self.executor.close()
 
 
 class RequestScheduler:
@@ -127,36 +193,30 @@ class RequestScheduler:
     def __init__(
         self,
         registry: SourceRegistry,
-        gateway: Optional[SourceGateway] = None,
+        gateway: Optional[PerSourceGateway] = None,
         metrics: Optional[MetricsRegistry] = None,
         tracer: Optional[Tracer] = None,
         config: Optional[SchedulerConfig] = None,
         memo: Optional[LRUMemo] = None,
     ):
         self.registry = registry
-        self.gateway = gateway if gateway is not None else SourceGateway()
+        self.gateway = gateway if gateway is not None else PerSourceGateway()
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.tracer = tracer if tracer is not None else Tracer()
         self.config = config if config is not None else SchedulerConfig()
         self.memo = memo
+        self.resilience = ResilienceManager(
+            self.config.resilience, metrics=self.metrics
+        )
         self._queue: Optional[asyncio.Queue] = None
         self._carry: Optional[Tuple[ConfidenceRequest, RegistrySnapshot,
                                     "asyncio.Future"]] = None
         self._inflight: List = []
         self._worker: Optional[asyncio.Task] = None
-        # Per-version stores, keyed (version, excluded-source frozenset):
-        # a degraded batch computes over the *demoted* snapshot, which is
-        # a different instance than the healthy one at the same version.
-        self._engines: Dict[Tuple[int, FrozenSet[str]], ConfidenceEngine] = {}
-        self._certain_dbs: Dict[Tuple[int, FrozenSet[str]], GlobalDatabase] = {}
-        self._shard_executors: Dict[Tuple[int, FrozenSet[str]], object] = {}
-        self._weakened: Dict[Tuple[int, FrozenSet[str]], RegistrySnapshot] = {}
-        self._backoff_rng = random.Random(self.config.backoff_seed)
-        self.resilience: Optional[ResilienceManager] = None
-        if self.config.resilience is not None:
-            self.resilience = ResilienceManager(
-                self.config.resilience, metrics=self.metrics
-            )
+        # Keyed (version, excluded-source frozenset): a degraded batch
+        # computes over the *demoted* snapshot, which is a different
+        # instance than the healthy one at the same version.
+        self._contexts: Dict[Tuple[int, FrozenSet[str]], SnapshotContext] = {}
         self._running = False
 
     # -- lifecycle ---------------------------------------------------------------
@@ -201,14 +261,9 @@ class RequestScheduler:
                     snapshot_version=request.snapshot_version,
                 ),
             )
-        for engine in self._engines.values():
-            engine.close()
-        self._engines.clear()
-        self._certain_dbs.clear()
-        for executor in self._shard_executors.values():
-            executor.close()
-        self._shard_executors.clear()
-        self._weakened.clear()
+        for context in self._contexts.values():
+            context.close()
+        self._contexts.clear()
 
     # -- admission ---------------------------------------------------------------
 
@@ -337,28 +392,26 @@ class RequestScheduler:
             return
         self.metrics.histogram("batch_size").observe(len(live))
         snapshot = live[0][1]
-        deadline = self._batch_deadline(live)
         with self.tracer.span(
             "batch", version=snapshot.version, size=len(live)
         ) as span:
+            with span.child("source_read", version=snapshot.version) as read:
+                report = await self.resilience.resolve(snapshot, self.gateway)
+                read.attributes.update(
+                    probed=report.probed,
+                    short_circuited=report.short_circuited,
+                    excluded=len(report.excluded),
+                    retried=report.retried,
+                )
+            excluded = frozenset(report.excluded)
+            if excluded:
+                self.metrics.counter("degraded_batches").inc()
+                span.attributes["excluded_sources"] = sorted(excluded)
             try:
-                if self.resilience is not None:
-                    report = await self.resilience.resolve(
-                        snapshot, self.gateway
-                    )
-                    resolved, attempts = snapshot, 1
-                    excluded = frozenset(report.excluded)
-                    if excluded:
-                        self.metrics.counter("degraded_batches").inc()
-                        span.attributes["excluded_sources"] = sorted(excluded)
-                else:
-                    resolved, attempts = await self._read_with_retry(
-                        snapshot, span, deadline
-                    )
-                    excluded = NO_EXCLUSIONS
-                confidences = self._compute(resolved, live, span, excluded)
+                context = self._context(snapshot, excluded)
+                confidences = self._compute(context, live, span)
                 answers, downgraded = self._answer_queries(
-                    resolved, live, span, excluded
+                    snapshot, context, live, span
                 )
             except ReproError as exc:
                 now = loop.time()
@@ -371,6 +424,7 @@ class RequestScheduler:
                             snapshot_version=snapshot.version,
                             latency=now - request.submitted_at,
                             batch_size=len(live),
+                            attempts=report.attempts,
                         ),
                     )
                 return
@@ -380,10 +434,10 @@ class RequestScheduler:
                     response = ServiceResponse(
                         request.request_id, RequestStatus.TIMEOUT,
                         reason="deadline expired during computation",
-                        snapshot_version=resolved.version,
+                        snapshot_version=snapshot.version,
                         latency=now - request.submitted_at,
                         batch_size=len(live),
-                        attempts=attempts,
+                        attempts=report.attempts,
                     )
                 else:
                     response = ServiceResponse(
@@ -391,13 +445,13 @@ class RequestScheduler:
                         confidences={
                             f: confidences[f] for f in request.facts
                         },
-                        snapshot_version=resolved.version,
+                        snapshot_version=snapshot.version,
                         latency=now - request.submitted_at,
                         batch_size=len(live),
-                        attempts=attempts,
+                        attempts=report.attempts,
                         answers=answers.get(request.request_id, ()),
                         degraded=bool(excluded),
-                        excluded_sources=tuple(sorted(excluded)),
+                        excluded_sources=report.excluded,
                         guarantee="degraded" if excluded else "certain",
                         downgraded_answers=downgraded.get(
                             request.request_id, ()
@@ -405,67 +459,22 @@ class RequestScheduler:
                     )
                 self._resolve(request, future, response)
 
-    @staticmethod
-    def _batch_deadline(live) -> Optional[float]:
-        """The batch's earliest absolute deadline (None = unbounded)."""
-        deadlines = [
-            request.deadline for request, _s, _f in live
-            if request.deadline is not None
-        ]
-        return min(deadlines) if deadlines else None
-
-    async def _read_with_retry(self, snapshot, span, deadline=None):
-        """Resolve the batch's snapshot through the gateway, with backoff.
-
-        The delay before each retry carries seeded jitter
-        (``config.backoff_jitter``) so synchronized batches do not retry
-        in lockstep, and the loop never sleeps past *deadline* (the
-        batch's earliest request deadline): a backoff that would overrun
-        it fails fast with :class:`TransientSourceError` instead — the
-        caller turns that into structured ``ERROR`` responses, never an
-        unhandled exception or a guaranteed-late answer.
-        """
-        config = self.config
-        loop = asyncio.get_running_loop()
-        for attempt in range(1, config.max_attempts + 1):
-            try:
-                with span.child(
-                    "source_read", version=snapshot.version, attempt=attempt
-                ):
-                    resolved = await self.gateway.read(snapshot)
-                return resolved, attempt
-            except TransientSourceError:
-                self.metrics.counter("source_read_retries").inc()
-                if attempt == config.max_attempts:
-                    raise
-                delay = config.backoff(attempt)
-                if config.backoff_jitter > 0:
-                    delay *= 1.0 + config.backoff_jitter * self._backoff_rng.random()
-                if deadline is not None and loop.time() + delay > deadline:
-                    self.metrics.counter("retry_budget_exhausted").inc()
-                    raise TransientSourceError(
-                        f"retry budget exhausted after attempt {attempt}: "
-                        f"backing off {delay:.3f}s would overrun the "
-                        "batch's earliest deadline"
-                    )
-                await asyncio.sleep(delay)
-        raise AssertionError("unreachable")  # pragma: no cover
-
     def _compute(
-        self, snapshot: RegistrySnapshot, live, span,
-        excluded: FrozenSet[str] = NO_EXCLUSIONS,
+        self, context: SnapshotContext, live, span
     ) -> Dict[Atom, Fraction]:
         """Exact confidences for every fact the batch asks about.
 
-        With *excluded* non-empty the engine runs over the snapshot with
-        those sources' annotations demoted to ⟨c=0, s=0⟩: their extensions
-        stay in the fact space (confidences of their facts remain
-        well-defined) but their bounds no longer constrain the possible
-        worlds.
+        With sources excluded the context's engine runs over the snapshot
+        with those sources' annotations demoted to ⟨c=0, s=0⟩: their
+        extensions stay in the fact space (confidences of their facts
+        remain well-defined) but their bounds no longer constrain the
+        possible worlds.
         """
-        engine = self._engine_for(snapshot, excluded)
+        engine = context.engine
         wanted = {f for request, _s, _f in live for f in request.facts}
-        with span.child("engine", version=snapshot.version, facts=len(wanted)):
+        with span.child(
+            "engine", version=context.snapshot.version, facts=len(wanted)
+        ):
             self.metrics.counter("engine_calls").inc()
             confidences = dict(engine.confidences())
             instance = engine.instance
@@ -481,21 +490,22 @@ class RequestScheduler:
         return confidences
 
     def _answer_queries(
-        self, snapshot: RegistrySnapshot, live, span,
-        excluded: FrozenSet[str] = NO_EXCLUSIONS,
+        self, snapshot: RegistrySnapshot, context: SnapshotContext, live,
+        span,
     ) -> Tuple[Dict[int, Tuple[Atom, ...]], Dict[int, Tuple[Atom, ...]]]:
         """Certain-answer lower bounds for the batch's query requests.
 
         The snapshot's confidence-1 facts form a database contained in every
         possible world, so by monotonicity any conjunctive answer over it is
         certain (cf. ``repro.confidence.answers.certain_answer_lower_bound``).
-        The query runs through the compiled-plan pipeline; the certain
-        database is cached per snapshot version, so batch-mates and repeat
+        The query runs through the compiled-plan pipeline over *context*'s
+        certain database, built once per context, so batch-mates and repeat
         queries share its scan rows and join indexes. With ``config.shards
-        > 1`` execution scatter-gathers over the version's sharded store.
+        > 1`` execution scatter-gathers over the context's sharded store.
 
-        Returns ``(answers, downgraded)`` keyed by request id. With
-        *excluded* sources the answers come from the *demoted* snapshot —
+        Returns ``(answers, downgraded)`` keyed by request id. When
+        *context* excludes sources the answers come from the *demoted*
+        snapshot —
         poss(S') ⊇ poss(S), so they stay a sound (certain) subset of the
         healthy answers — and ``downgraded`` holds the healthy-minus-
         degraded difference: answers the lost sources' annotations were
@@ -517,14 +527,13 @@ class RequestScheduler:
         from repro.shard import canonical_order, shard_stats
 
         sharded = self.config.shards > 1
-        executor = self._shard_executor(snapshot, excluded) if sharded else None
-        database = (
-            None if sharded else self._certain_database(snapshot, excluded)
-        )
-        # The healthy-baseline certain DB, to grade what the demotion cost.
+        executor = context.shard_executor() if sharded else None
+        database = None if sharded else context.certain_database()
+        # A demoted context (its own snapshot) grades what the demotion
+        # cost against the healthy context's certain DB.
         full_database = (
-            self._certain_database(snapshot, NO_EXCLUSIONS) if excluded
-            else None
+            self._context(snapshot).certain_database()
+            if context.snapshot is not snapshot else None
         )
         with span.child(
             "query_answers", version=snapshot.version, queries=len(queried)
@@ -585,94 +594,33 @@ class RequestScheduler:
         if max_q and max_q != before.get("max_q_error"):
             self.metrics.histogram("plan_q_error").observe(max_q)
 
-    def _working_snapshot(
-        self, snapshot: RegistrySnapshot, excluded: FrozenSet[str]
-    ) -> RegistrySnapshot:
-        """*snapshot*, or its demoted twin when sources are excluded.
-
-        The twin shares the version (callers still see the snapshot they
-        pinned) but carries the collection with excluded sources' bounds
-        weakened to ⟨0, 0⟩; cached per (version, excluded) because
-        demotion re-interns the collection.
-        """
-        if not excluded:
-            return snapshot
-        key = (snapshot.version, excluded)
-        weakened = self._weakened.get(key)
-        if weakened is None:
-            from repro.resilience.degrade import demote
-
-            weakened = RegistrySnapshot(
-                version=snapshot.version,
-                collection=demote(snapshot.collection, excluded),
-                domain=snapshot.domain,
-            )
-            self._weakened[key] = weakened
-            while len(self._weakened) > 16:
-                oldest = min(self._weakened, key=_store_key_order)
-                if oldest == key:
-                    break
-                self._weakened.pop(oldest)
-        return weakened
-
-    def _certain_database(
+    def _context(
         self, snapshot: RegistrySnapshot,
         excluded: FrozenSet[str] = NO_EXCLUSIONS,
-    ) -> GlobalDatabase:
-        """The snapshot's confidence-1 facts as one database (cached)."""
-        key = (snapshot.version, excluded)
-        database = self._certain_dbs.get(key)
-        if database is None:
-            engine = self._engine_for(snapshot, excluded)
-            database = GlobalDatabase(
-                f for f, confidence in engine.confidences().items()
-                if confidence == 1
-            )
-            self._certain_dbs[key] = database
-            while len(self._certain_dbs) > 8:
-                oldest = min(self._certain_dbs, key=_store_key_order)
-                if oldest == key:
-                    break
-                self._certain_dbs.pop(oldest)
-        return database
+    ) -> SnapshotContext:
+        """The open context of (*snapshot*'s version, *excluded*).
 
-    def _shard_executor(
-        self, snapshot: RegistrySnapshot,
-        excluded: FrozenSet[str] = NO_EXCLUSIONS,
-    ):
-        """The snapshot's scatter-gather executor (per-version cache).
-
-        The sharded store partitions the same certain database the
-        single-store path queries, under a spec built from the config's
-        shard count; fragments and their plan-layer caches are shared by
-        every batch pinned to this version (and exclusion set).
+        At most :data:`MAX_CONTEXTS` stay open; past that the oldest
+        (lowest version first) is closed — never the one just opened.
         """
-        from repro.shard import PartitionSpec, ShardedDatabase, ShardExecutor
-
         key = (snapshot.version, excluded)
-        executor = self._shard_executors.get(key)
-        if executor is None:
-            store = ShardedDatabase(
-                self._certain_database(snapshot, excluded),
-                PartitionSpec(self.config.shards),
-            )
-            executor = ShardExecutor(
-                store, workers=self.config.shard_workers
-            )
-            self._shard_executors[key] = executor
-            while len(self._shard_executors) > 8:
-                oldest = min(self._shard_executors, key=_store_key_order)
+        context = self._contexts.get(key)
+        if context is None:
+            context = SnapshotContext(snapshot, excluded, self.config, self.memo)
+            self._contexts[key] = context
+            while len(self._contexts) > MAX_CONTEXTS:
+                oldest = min(self._contexts, key=_context_key_order)
                 if oldest == key:
                     break
-                self._shard_executors.pop(oldest).close()
-        return executor
+                self._contexts.pop(oldest).close()
+        return context
 
     def retire_version_tags(self, before_version: int) -> set:
-        """Pop per-version stores pre-dating *before_version*; return tags.
+        """Close the contexts of versions before *before_version*; return tags.
 
-        Certain databases and shard executors of superseded versions will
-        never serve another request, so their per-version slots are freed
-        here — but the *derived artifacts* they seeded (statistics, data
+        Superseded versions will never serve another request, so their
+        contexts — engine, certain database, shard executor — are closed
+        here. The *derived artifacts* they seeded (statistics, data
         sources, partition layouts, fragment tokens) live in the enrolled
         caches, keyed or tagged by fact set. The returned tag set — each
         retired certain core plus every fragment a retired sharded store
@@ -682,60 +630,15 @@ class RequestScheduler:
         ``shard_stores_discarded``.
         """
         tags: set = set()
-        for key in [k for k in self._certain_dbs if k[0] < before_version]:
-            database = self._certain_dbs.pop(key)
-            tags.add(database.core())
-        retired = 0
-        for key in [
-            k for k in self._shard_executors if k[0] < before_version
-        ]:
-            executor = self._shard_executors.pop(key)
-            tags.update(executor.sharded.built_fragments())
-            executor.close()
-            retired += 1
-        if retired:
-            self.metrics.counter("shard_stores_discarded").inc(retired)
-        for key in [k for k in self._weakened if k[0] < before_version]:
-            self._weakened.pop(key)
+        stores = 0
+        for key in [k for k in self._contexts if k[0] < before_version]:
+            context = self._contexts.pop(key)
+            tags |= context.derived_tags()
+            stores += context.executor is not None
+            context.close()
+        if stores:
+            self.metrics.counter("shard_stores_discarded").inc(stores)
         return tags
-
-    def discard_plan_statistics(self, before_version: int) -> int:
-        """Retire superseded versions' derived entries through the bus.
-
-        The pre-bus entry point, kept for callers that retire versions
-        outside a registry mutation (the sharded-service tests drive it
-        directly): collects this scheduler's retirement tags and pushes
-        them through the process cache registry. Returns how many
-        statistics-catalog entries the bus dropped. Entries are
-        content-addressed, so all of this is hygiene, never correctness.
-        """
-        from repro.cache import cache_registry
-
-        per_cache = cache_registry().invalidate_tags(
-            self.retire_version_tags(before_version)
-        )
-        return per_cache.get("plan.statistics", 0)
-
-    def _engine_for(
-        self, snapshot: RegistrySnapshot,
-        excluded: FrozenSet[str] = NO_EXCLUSIONS,
-    ) -> ConfidenceEngine:
-        key = (snapshot.version, excluded)
-        engine = self._engines.get(key)
-        if engine is None:
-            engine = ConfidenceEngine(
-                self._working_snapshot(snapshot, excluded).instance(),
-                workers=self.config.engine_workers,
-                memo=self.memo,
-                cache_size=self.config.engine_cache_size,
-            )
-            self._engines[key] = engine
-            while len(self._engines) > 8:  # superseded versions age out
-                oldest = min(self._engines, key=_store_key_order)
-                if oldest == key:
-                    break
-                self._engines.pop(oldest).close()
-        return engine
 
     # -- resolution --------------------------------------------------------------
 

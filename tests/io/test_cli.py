@@ -219,8 +219,8 @@ class TestServe:
         out = capsys.readouterr().out.strip()
         snapshot = json.loads(out)  # the whole stdout is one JSON document
         assert set(snapshot) == {
-            "cache", "gateway", "metrics", "plan", "registry", "shard",
-            "tracing",
+            "cache", "gateway", "metrics", "plan", "registry", "resilience",
+            "shard", "tracing",
         }
         assert "caches" in snapshot["cache"]
 

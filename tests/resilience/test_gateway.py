@@ -5,7 +5,6 @@ import asyncio
 import pytest
 
 from repro.service import (
-    FaultInjector,
     FaultPolicy,
     PerSourceGateway,
     SourceCrashedError,
@@ -28,25 +27,26 @@ def run(coro):
 
 
 def test_crash_policy_raises_source_crashed():
-    injector = FaultInjector(FaultPolicy(crash=True))
+    gateway = PerSourceGateway(default=FaultPolicy(crash=True))
     with pytest.raises(SourceCrashedError):
-        run(injector.read(snapshot()))
+        run(gateway.probe(snapshot(), "S1"))
 
 
 def test_partition_policy_hangs_past_any_reasonable_timeout():
-    injector = FaultInjector(FaultPolicy(partition=True))
+    gateway = PerSourceGateway(default=FaultPolicy(partition=True))
 
     async def attempt():
         with pytest.raises(asyncio.TimeoutError):
-            await asyncio.wait_for(injector.read(snapshot()), timeout=0.05)
+            await asyncio.wait_for(
+                gateway.probe(snapshot(), "S1"), timeout=0.05
+            )
 
     run(attempt())
 
 
 def test_base_gateway_probe_returns_descriptor():
-    from repro.service import SourceGateway
-
-    gateway = SourceGateway()
+    """The default gateway (every lane healthy) returns the descriptor."""
+    gateway = PerSourceGateway()
     snap = snapshot()
     descriptor = run(gateway.probe(snap, "S1"))
     assert descriptor.name == "S1"
@@ -65,15 +65,6 @@ def test_per_source_gateway_isolates_fault_to_one_lane():
     counters = gateway.stats()
     assert counters["S1"]["crashes"] == 0
     assert counters["S2"]["crashes"] == 1
-
-
-def test_whole_read_fails_when_any_lane_is_down():
-    # The coupling the resilience layer removes: without it, one crashed
-    # source fails the entire batch read.
-    gateway = PerSourceGateway()
-    gateway.set_policy("S2", FaultPolicy(crash=True))
-    with pytest.raises(SourceCrashedError):
-        run(gateway.read(snapshot()))
 
 
 def test_heal_clears_the_policy_but_keeps_the_lane():

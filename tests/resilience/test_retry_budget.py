@@ -1,18 +1,20 @@
-"""Retry/backoff hardening: budget caps, seeded jitter, structured errors.
+"""The one retry loop: re-launches bounded by max_hedges and source_timeout.
 
-Satellite of the resilience PR: a retry loop that would sleep past the
-batch's earliest deadline must fail *fast* with a structured ``ERROR``
-response — never an unhandled exception, never a guaranteed-late answer.
+The availability pass re-launches a probe attempt that failed transiently
+while ``max_hedges`` allows, hedges a slow one after ``hedge_delay``, and
+never runs past ``source_timeout``. A source that outlives its budget is
+excluded and the batch is answered degraded — never an unhandled
+exception, never a guaranteed-late answer.
 """
 
 import asyncio
 
-import pytest
-
 from repro.model import fact
+from repro.resilience import ResilienceConfig
 from repro.service import (
     FaultPolicy,
     MediatorService,
+    PerSourceGateway,
     RequestStatus,
     SchedulerConfig,
 )
@@ -26,18 +28,26 @@ def run(coroutine):
     return asyncio.run(coroutine)
 
 
+def faulty_service(policy, **resilience):
+    """Example 5.1 with *policy* on every source's lane."""
+    gateway = PerSourceGateway(default=policy, seed=11)
+    service = MediatorService(
+        make_example51_collection(), DOMAIN,
+        config=SchedulerConfig(
+            batch_window=0.0, resilience=ResilienceConfig(**resilience)
+        ),
+        gateway=gateway,
+    )
+    return service, gateway
+
+
 def test_exhausted_attempts_surface_structured_error():
-    """error_rate=1.0: every attempt fails; the caller gets ERROR, not a
-    traceback out of the worker."""
+    """error_rate=1.0: every attempt fails; each source's failure surfaces
+    as structured exclusion metadata on the response, not as a traceback
+    out of the worker."""
+    service, gateway = faulty_service(FaultPolicy(error_rate=1.0), max_hedges=1)
 
     async def scenario():
-        service = MediatorService(
-            make_example51_collection(), DOMAIN,
-            config=SchedulerConfig(
-                max_attempts=2, backoff_base=0.001, batch_window=0.0
-            ),
-            fault_policy=FaultPolicy(error_rate=1.0, seed=11),
-        )
         async with service:
             response = await service.confidence(
                 [fact("R", "a")], timeout=5.0
@@ -45,26 +55,24 @@ def test_exhausted_attempts_surface_structured_error():
         return response, service.stats()
 
     response, stats = run(scenario())
-    assert response.status is RequestStatus.ERROR
-    assert response.reason  # a human-readable cause, not empty
-    assert stats["metrics"]["counters"]["source_read_retries"] == 2
+    assert response.status is RequestStatus.OK
+    assert response.degraded and response.excluded_sources == ("S1", "S2")
+    counters = stats["metrics"]["counters"]
+    assert counters["source_probe_failures"] == 2
+    assert counters["source_hedges"] == 2
+    assert all(lane["reads"] == 2 for lane in gateway.stats().values())
 
 
-def test_retry_budget_capped_by_request_deadline():
-    """A backoff that would overrun the earliest deadline fails fast with
-    the budget-exhausted reason instead of sleeping into a timeout."""
+def test_retry_budget_capped_by_source_timeout():
+    """A partitioned source is hedged every 10 ms until source_timeout, then
+    excluded: the retries end inside the budget, well before the request's
+    own deadline."""
+    service, gateway = faulty_service(
+        FaultPolicy(partition=True),
+        source_timeout=0.05, hedge_delay=0.01, max_hedges=20,
+    )
 
     async def scenario():
-        service = MediatorService(
-            make_example51_collection(), DOMAIN,
-            config=SchedulerConfig(
-                max_attempts=5,
-                backoff_base=10.0,   # any retry sleep dwarfs the deadline
-                backoff_cap=10.0,
-                batch_window=0.0,
-            ),
-            fault_policy=FaultPolicy(error_rate=1.0, seed=11),
-        )
         async with service:
             response = await service.confidence(
                 [fact("R", "a")], timeout=0.25
@@ -72,65 +80,25 @@ def test_retry_budget_capped_by_request_deadline():
         return response, service.stats()
 
     response, stats = run(scenario())
-    assert response.status is RequestStatus.ERROR
-    assert "retry budget exhausted" in response.reason
-    assert stats["metrics"]["counters"]["retry_budget_exhausted"] == 1
-    # Fail-fast means well under the 10s backoff, under the deadline even.
+    assert response.status is RequestStatus.OK and response.degraded
     assert response.latency < 0.25
+    assert stats["metrics"]["counters"]["source_probe_timeouts"] == 2
+    # At most one attempt per hedge_delay fits inside source_timeout.
+    assert 2 <= response.attempts <= 6
+    assert all(lane["reads"] <= 6 for lane in gateway.stats().values())
 
 
 def test_unbounded_requests_still_retry_to_exhaustion():
     """No deadline: the full attempt budget is spent before giving up."""
+    service, gateway = faulty_service(FaultPolicy(error_rate=1.0), max_hedges=2)
 
     async def scenario():
-        service = MediatorService(
-            make_example51_collection(), DOMAIN,
-            config=SchedulerConfig(
-                max_attempts=3, backoff_base=0.001, batch_window=0.0
-            ),
-            fault_policy=FaultPolicy(error_rate=1.0, seed=11),
-        )
         async with service:
             response = await service.confidence([fact("R", "a")])
         return response, service.stats()
 
     response, stats = run(scenario())
-    assert response.status is RequestStatus.ERROR
-    assert "retry budget exhausted" not in response.reason
-    assert stats["metrics"]["counters"]["source_read_retries"] == 3
-
-
-def test_jitter_is_seeded_and_bounded():
-    """Jittered delays stay inside [backoff, backoff·(1+jitter)] and replay
-    identically for the same backoff_seed."""
-
-    def delays(seed, n=8):
-        import random
-
-        config = SchedulerConfig(backoff_jitter=0.5, backoff_seed=seed)
-        rng = random.Random(config.backoff_seed)
-        out = []
-        for attempt in range(1, n + 1):
-            delay = config.backoff(attempt)
-            out.append(delay * (1.0 + config.backoff_jitter * rng.random()))
-        return out
-
-    base = SchedulerConfig(backoff_jitter=0.5)
-    for attempt, delay in enumerate(delays(7), start=1):
-        floor = base.backoff(attempt)
-        assert floor <= delay <= floor * 1.5
-    assert delays(7) == delays(7)
-    assert delays(7) != delays(8)
-
-
-def test_jitter_config_validation():
-    with pytest.raises(ValueError):
-        SchedulerConfig(backoff_jitter=-0.1)
-    assert SchedulerConfig(backoff_jitter=0.0).backoff_jitter == 0.0
-
-
-def test_backoff_schedule_is_exponential_and_capped():
-    config = SchedulerConfig(backoff_base=0.01, backoff_cap=0.05)
-    assert [config.backoff(a) for a in range(1, 6)] == [
-        0.01, 0.02, 0.04, 0.05, 0.05,
-    ]
+    assert response.status is RequestStatus.OK and response.degraded
+    assert response.attempts == 3
+    assert stats["metrics"]["counters"]["source_hedges"] == 4
+    assert all(lane["reads"] == 3 for lane in gateway.stats().values())

@@ -1,4 +1,4 @@
-"""The fault-injection harness: latency, transient errors, staleness."""
+"""The fault-injection harness: latency and transient errors per lane."""
 
 import asyncio
 import time
@@ -6,9 +6,8 @@ import time
 import pytest
 
 from repro.service import (
-    FaultInjector,
     FaultPolicy,
-    SourceGateway,
+    PerSourceGateway,
     SourceRegistry,
     TransientSourceError,
 )
@@ -27,7 +26,7 @@ class TestPolicyValidation:
         policy = FaultPolicy()
         assert policy.latency == 0.0
         assert policy.error_rate == 0.0
-        assert policy.stale_rate == 0.0
+        assert policy.healthy
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -35,7 +34,7 @@ class TestPolicyValidation:
             {"latency": -0.1},
             {"error_rate": 1.5},
             {"error_rate": -0.1},
-            {"stale_rate": 2.0},
+            {"error_rate": float("nan")},
         ],
     )
     def test_bad_knobs_rejected(self, kwargs):
@@ -43,63 +42,47 @@ class TestPolicyValidation:
             FaultPolicy(**kwargs)
 
 
-class TestBaseGateway:
-    def test_read_returns_snapshot_and_counts(self):
-        registry = SourceRegistry(make_example51_collection(), DOMAIN)
-        gateway = SourceGateway()
-        snapshot = registry.snapshot()
-
-        async def scenario():
-            assert await gateway.read(snapshot) is snapshot
-            assert await gateway.read(snapshot) is snapshot
-
-        run(scenario())
-        assert gateway.reads == 2
-
-
 class TestErrorInjection:
     def test_error_rate_one_always_raises(self):
         registry = SourceRegistry(make_example51_collection(), DOMAIN)
-        injector = FaultInjector(FaultPolicy(error_rate=1.0, seed=3))
+        gateway = PerSourceGateway(FaultPolicy(error_rate=1.0), seed=3)
 
         async def scenario():
             with pytest.raises(TransientSourceError, match="injected"):
-                await injector.read(registry.snapshot())
+                await gateway.probe(registry.snapshot(), "S1")
 
         run(scenario())
-        assert injector.errors_injected == 1
+        assert gateway.stats()["S1"]["errors_injected"] == 1
 
     def test_error_burst_recovers(self):
         registry = SourceRegistry(make_example51_collection(), DOMAIN)
-        injector = FaultInjector(
-            FaultPolicy(error_rate=1.0, error_burst=2, seed=3)
+        gateway = PerSourceGateway(
+            FaultPolicy(error_rate=1.0, error_burst=2), seed=3
         )
 
         async def scenario():
             failures = 0
             for _ in range(5):
                 try:
-                    await injector.read(registry.snapshot())
+                    await gateway.probe(registry.snapshot(), "S1")
                 except TransientSourceError:
                     failures += 1
             return failures
 
         assert run(scenario()) == 2
-        assert injector.errors_injected == 2
+        assert gateway.stats()["S1"]["errors_injected"] == 2
 
     def test_seed_makes_injection_deterministic(self):
         registry = SourceRegistry(make_example51_collection(), DOMAIN)
 
         def outcomes(seed):
-            injector = FaultInjector(
-                FaultPolicy(error_rate=0.5, seed=seed)
-            )
+            gateway = PerSourceGateway(FaultPolicy(error_rate=0.5), seed=seed)
 
             async def scenario():
                 pattern = []
                 for _ in range(16):
                     try:
-                        await injector.read(registry.snapshot())
+                        await gateway.probe(registry.snapshot(), "S1")
                         pattern.append("ok")
                     except TransientSourceError:
                         pattern.append("err")
@@ -114,42 +97,11 @@ class TestErrorInjection:
 class TestLatency:
     def test_latency_delays_read(self):
         registry = SourceRegistry(make_example51_collection(), DOMAIN)
-        injector = FaultInjector(FaultPolicy(latency=0.03))
+        gateway = PerSourceGateway(FaultPolicy(latency=0.03))
 
         async def scenario():
             start = time.perf_counter()
-            await injector.read(registry.snapshot())
+            await gateway.probe(registry.snapshot(), "S1")
             return time.perf_counter() - start
 
         assert run(scenario()) >= 0.025
-
-
-class TestStaleness:
-    def test_stale_read_serves_previous_version(self):
-        registry = SourceRegistry(make_example51_collection(), DOMAIN)
-        source = registry.snapshot().collection.by_name("S1")
-        registry.update(source.with_bounds(soundness_bound=1))
-        assert registry.version() == 1
-        injector = FaultInjector(
-            FaultPolicy(stale_rate=1.0, seed=0), registry=registry
-        )
-
-        async def scenario():
-            return await injector.read(registry.snapshot())
-
-        stale = run(scenario())
-        assert stale.version == 0
-        assert injector.stale_served == 1
-
-    def test_stale_rate_without_history_is_identity(self):
-        registry = SourceRegistry(make_example51_collection(), DOMAIN)
-        injector = FaultInjector(
-            FaultPolicy(stale_rate=1.0, seed=0), registry=registry
-        )
-
-        async def scenario():
-            snapshot = registry.snapshot()
-            assert await injector.read(snapshot) is snapshot
-
-        run(scenario())
-        assert injector.stale_served == 0

@@ -1,9 +1,9 @@
 """One RegistryDiff, one bus call, every derived cache retired (regression).
 
 Before the cache runtime, a registry mutation fanned out to three separate
-invalidation call-sites: memo keys through ``invalidate``, statistics and
-shard stores through ``discard_plan_statistics``, and nothing at all for
-partitions or fragment tokens. These tests pin the unified contract: a
+invalidation call-sites: memo keys, statistics and shard stores each had
+their own, and partitions and fragment tokens had none. These tests pin
+the unified contract: a
 single mutation produces one tag set (:func:`invalidation_tags` plus
 :meth:`retire_version_tags`) and one ``CacheRegistry.invalidate_tags``
 call, after which *no* enrolled cache still holds an entry derived from
@@ -57,12 +57,11 @@ class TestSingleDiffClearsEverything:
                 assert response.status is RequestStatus.OK
                 await service.confidence([R_A])
                 old = service.registry.snapshot()
-                core = service.scheduler._certain_dbs[
-                    (old.version, frozenset())
-                ].core()
-                executor = service.scheduler._shard_executors[
+                context = service.scheduler._contexts[
                     (old.version, frozenset())
                 ]
+                core = context.certain_db.core()
+                executor = context.executor
                 fragments = executor.sharded.built_fragments()
                 partition_key = (executor.sharded.union_core(),
                                  executor.sharded.spec)
@@ -122,9 +121,9 @@ class TestSingleDiffClearsEverything:
                 # diff retires only the *old* version's entries.
                 second = await service.answer(QUERY)
                 new = service.registry.snapshot()
-                executor = service.scheduler._shard_executors[
+                executor = service.scheduler._contexts[
                     (new.version, frozenset())
-                ]
+                ].executor
                 partition_key = (executor.sharded.union_core(),
                                  executor.sharded.spec)
                 assert first.status is second.status is RequestStatus.OK

@@ -73,19 +73,6 @@ class TestSnapshots:
         with pytest.raises(SourceError):
             registry.deregister("S1")
 
-    def test_history_window_bounded(self):
-        registry = SourceRegistry(
-            make_example51_collection(), DOMAIN, history=3
-        )
-        for _ in range(5):
-            source = registry.snapshot().collection.by_name("S1")
-            registry.update(source.with_bounds(soundness_bound="1/2"))
-        versions = registry.history_versions()
-        assert len(versions) == 3
-        assert versions[-1] == registry.version() == 5
-        assert registry.past_snapshot(0) is None
-        assert registry.past_snapshot(versions[0]) is not None
-
     def test_covered_facts(self):
         snapshot = make_registry().snapshot()
         covered = {str(f) for f in snapshot.covered_facts()}

@@ -1,19 +1,24 @@
-"""Admission, micro-batching, deadlines, retry/backoff, shutdown."""
+"""Admission, micro-batching, deadlines, retries, shutdown, contexts."""
 
 import asyncio
+import multiprocessing
 from fractions import Fraction
 
 import pytest
 
 from repro.model import fact
+from repro.resilience import ResilienceConfig, demote
 from repro.service import (
-    FaultInjector,
     FaultPolicy,
+    MediatorService,
+    PerSourceGateway,
     RequestScheduler,
     RequestStatus,
     SchedulerConfig,
     SourceRegistry,
 )
+
+from repro.confidence.engine import ConfidenceEngine
 
 from tests.conftest import make_example51_collection
 
@@ -22,10 +27,9 @@ R_A, R_B, R_C = fact("R", "a"), fact("R", "b"), fact("R", "c")
 
 
 def make_scheduler(config=None, policy=None, registry=None):
+    """A scheduler over Example 5.1; *policy* faults every source's lane."""
     registry = registry or SourceRegistry(make_example51_collection(), DOMAIN)
-    gateway = None
-    if policy is not None:
-        gateway = FaultInjector(policy, registry=registry)
+    gateway = PerSourceGateway(default=policy)
     return RequestScheduler(registry, gateway=gateway, config=config)
 
 
@@ -200,10 +204,8 @@ class TestDeadlines:
 class TestRetries:
     def test_transient_errors_retried_until_success(self):
         scheduler = make_scheduler(
-            SchedulerConfig(
-                max_attempts=3, backoff_base=0.001, backoff_cap=0.002
-            ),
-            policy=FaultPolicy(error_rate=1.0, error_burst=2, seed=1),
+            SchedulerConfig(resilience=ResilienceConfig(max_hedges=2)),
+            policy=FaultPolicy(error_rate=1.0, error_burst=2),
         )
 
         async def scenario():
@@ -213,16 +215,51 @@ class TestRetries:
             return response
 
         response = run(scenario())
-        assert response.ok
+        assert response.ok and not response.degraded
         assert response.attempts == 3
-        assert scheduler.metrics.counter("source_read_retries").value == 2
+        assert response.confidences[R_A] == Fraction(4, 7)
+        assert scheduler.metrics.counter("source_hedges").value == 4
 
     def test_exhausted_retries_fail_explicitly(self):
+        """A source failing past its budget is excluded: the response is OK,
+        degraded, names the lost sources, and answers exactly as the
+        collection with their annotations demoted."""
+        collection = make_example51_collection()
         scheduler = make_scheduler(
-            SchedulerConfig(
-                max_attempts=2, backoff_base=0.001, backoff_cap=0.002
+            SchedulerConfig(resilience=ResilienceConfig(max_hedges=1)),
+            policy=FaultPolicy(error_rate=1.0),
+            registry=SourceRegistry(collection, DOMAIN),
+        )
+
+        async def scenario():
+            await scheduler.start()
+            response = await scheduler.request([R_A, R_B])
+            await scheduler.stop()
+            return response
+
+        response = run(scenario())
+        assert response.status is RequestStatus.OK
+        assert response.degraded and response.guarantee == "degraded"
+        assert response.excluded_sources == ("S1", "S2")
+        assert response.attempts == 2
+        with ConfidenceEngine(
+            demote(collection, {"S1", "S2"}), DOMAIN
+        ) as engine:
+            expected = {f: engine.confidence(f) for f in (R_A, R_B)}
+        assert response.confidences == expected
+        assert scheduler.metrics.counter("source_probe_failures").value == 2
+        assert scheduler.metrics.counter("responses_error").value == 0
+
+    def test_crashed_source_is_probed_once(self):
+        """SourceCrashedError is never retried, whatever the hedge budget."""
+        gateway = PerSourceGateway()
+        gateway.set_policy("S2", FaultPolicy(crash=True))
+        scheduler = RequestScheduler(
+            SourceRegistry(make_example51_collection(), DOMAIN),
+            gateway=gateway,
+            config=SchedulerConfig(
+                resilience=ResilienceConfig(max_hedges=3, hedge_delay=0.001)
             ),
-            policy=FaultPolicy(error_rate=1.0, seed=1),
         )
 
         async def scenario():
@@ -232,29 +269,22 @@ class TestRetries:
             return response
 
         response = run(scenario())
-        assert response.status is RequestStatus.ERROR
-        assert "injected transient failure" in response.reason
-        assert scheduler.metrics.counter("responses_error").value == 1
-
-    def test_backoff_schedule(self):
-        config = SchedulerConfig(backoff_base=0.01, backoff_cap=0.25)
-        assert config.backoff(1) == 0.01
-        assert config.backoff(2) == 0.02
-        assert config.backoff(3) == 0.04
-        assert config.backoff(10) == 0.25  # capped
+        assert response.ok and response.excluded_sources == ("S2",)
+        assert gateway.stats()["S2"]["reads"] == 1
+        assert response.attempts == 1
 
 
 class TestShutdown:
     def test_stop_rejects_unserved_requests(self):
         scheduler = make_scheduler(
             SchedulerConfig(max_batch=1),
-            policy=FaultPolicy(latency=0.05),
+            policy=FaultPolicy(latency=0.04),
         )
 
         async def scenario():
             await scheduler.start()
             futures = [await scheduler.submit([R_A]) for _ in range(5)]
-            await asyncio.sleep(0.01)  # worker now mid-read on request 1
+            await asyncio.sleep(0.01)  # worker now mid-probe on request 1
             await scheduler.stop()
             return [await f for f in futures]
 
@@ -278,8 +308,60 @@ class TestShutdown:
 class TestConfigValidation:
     @pytest.mark.parametrize(
         "kwargs",
-        [{"max_queue": 0}, {"max_batch": 0}, {"max_attempts": 0}],
+        [{"max_queue": 0}, {"max_batch": 0}, {"shards": 0}],
     )
     def test_bad_config_rejected(self, kwargs):
         with pytest.raises(ValueError):
             SchedulerConfig(**kwargs)
+
+
+class TestSnapshotContexts:
+    def test_superseded_versions_leave_no_open_pools(self):
+        """Each update retires the old version's context, engine pool
+        included: at most one pool's workers are ever alive."""
+        workers = 2
+        live = []
+
+        async def scenario():
+            async with MediatorService(
+                make_example51_collection(), DOMAIN,
+                config=SchedulerConfig(engine_workers=workers),
+            ) as service:
+                for _ in range(6):
+                    assert (await service.confidence([R_A, R_B])).ok
+                    source = service.registry.snapshot().collection.by_name("S2")
+                    service.update_source(source.with_bounds(
+                        soundness_bound=source.soundness_bound
+                    ))
+                    live.append(len(multiprocessing.active_children()))
+                return dict(service.scheduler._contexts)
+
+        baseline = len(multiprocessing.active_children())
+        contexts = run(scenario())
+        assert max(live) - baseline <= workers
+        assert contexts == {}
+        assert len(multiprocessing.active_children()) == baseline
+
+    def test_open_contexts_are_capped(self):
+        """Without service-driven retirement the cap still bounds the open
+        contexts, evicting the oldest versions first."""
+        from repro.service.scheduler import MAX_CONTEXTS
+
+        scheduler = make_scheduler()
+        registry = scheduler.registry
+
+        async def scenario():
+            await scheduler.start()
+            for _ in range(MAX_CONTEXTS + 2):
+                assert (await scheduler.request([R_A])).ok
+                source = registry.snapshot().collection.by_name("S2")
+                registry.update(source.with_bounds(
+                    soundness_bound=source.soundness_bound
+                ))
+            versions = sorted(version for version, _ in scheduler._contexts)
+            await scheduler.stop()
+            return versions
+
+        versions = run(scenario())
+        assert versions == list(range(2, MAX_CONTEXTS + 2))
+        assert scheduler._contexts == {}

@@ -8,11 +8,12 @@ from repro.model import fact
 from repro.queries import identity_view
 from repro.sources import SourceDescriptor
 from repro.confidence.engine import ConfidenceEngine, LRUMemo
+from repro.resilience import demote
 from repro.service import (
     FaultPolicy,
     MediatorService,
+    PerSourceGateway,
     RequestStatus,
-    SchedulerConfig,
 )
 
 from tests.conftest import make_example51_collection
@@ -126,15 +127,17 @@ class TestSnapshotIsolation:
 
 class TestDegradation:
     def test_faulty_service_never_crashes(self):
+        """Under flaky, slow sources every response is OK; a degraded one
+        answers exactly as the collection with its lost sources demoted."""
+        collection = make_example51_collection()
+
         async def scenario():
             service = MediatorService(
-                make_example51_collection(),
+                collection,
                 DOMAIN,
-                config=SchedulerConfig(
-                    max_attempts=2, backoff_base=0.001, backoff_cap=0.002
-                ),
-                fault_policy=FaultPolicy(
-                    latency=0.002, error_rate=0.5, seed=7
+                gateway=PerSourceGateway(
+                    default=FaultPolicy(latency=0.002, error_rate=0.5),
+                    seed=7,
                 ),
             )
             async with service:
@@ -146,22 +149,21 @@ class TestDegradation:
                 return responses
 
         responses = run(scenario())
-        statuses = {r.status for r in responses}
-        assert statuses <= {RequestStatus.OK, RequestStatus.ERROR}
+        assert all(r.status is RequestStatus.OK for r in responses)
+        assert any(r.degraded for r in responses)
         for response in responses:
-            if response.ok:
+            excluded = set(response.excluded_sources)
+            with ConfidenceEngine(demote(collection, excluded), DOMAIN) as engine:
+                assert response.confidences[R_A] == engine.confidence(R_A)
+            if not excluded:
                 assert response.confidences[R_A] == Fraction(4, 7)
-            else:
-                assert "injected transient failure" in response.reason
 
 
 class TestObservability:
     def test_stats_shape_and_json_round_trip(self):
         async def scenario():
             async with MediatorService(
-                make_example51_collection(),
-                DOMAIN,
-                fault_policy=FaultPolicy(seed=0),
+                make_example51_collection(), DOMAIN
             ) as service:
                 await service.confidence([R_A])
                 return service.stats(), service.recent_spans()
@@ -169,7 +171,7 @@ class TestObservability:
         stats, spans = run(scenario())
         assert set(stats) == {
             "registry", "metrics", "gateway", "tracing", "plan", "shard",
-            "cache",
+            "cache", "resilience",
         }
         assert "engine.memo" in stats["cache"]["caches"]
         assert {"hits", "misses", "evictions", "bytes", "invalidations"} <= set(
@@ -181,8 +183,12 @@ class TestObservability:
         }
         assert stats["registry"]["version"] == 0
         assert stats["registry"]["sources"] == 2
-        assert stats["gateway"]["reads"] == 1
-        assert stats["gateway"]["errors_injected"] == 0
+        assert stats["gateway"]["reads"] == 2  # one probe per source
+        assert all(
+            lane["errors_injected"] == 0
+            for lane in stats["gateway"]["lanes"].values()
+        )
+        assert set(stats["resilience"]["sources"]) == {"S1", "S2"}
         assert stats["metrics"]["counters"]["responses_ok"] == 1
         assert stats["metrics"]["histograms"]["latency"]["count"] == 1
         assert stats["tracing"]["spans_started"] >= 3
@@ -192,6 +198,43 @@ class TestObservability:
 
         names = {s["name"] for s in spans}
         assert {"batch", "source_read", "engine"} <= names
+        read = next(s for s in spans if s["name"] == "source_read")
+        batch = next(s for s in spans if s["name"] == "batch")
+        assert read["parent_id"] == batch["span_id"]
+        assert read["attributes"] == {
+            "version": 0, "probed": 2, "short_circuited": 0,
+            "excluded": 0, "retried": 0,
+        }
+
+    def test_source_read_span_counts_a_degraded_batch(self):
+        gateway = PerSourceGateway(
+            policies={
+                "S1": FaultPolicy(error_rate=1.0, error_burst=1),
+                "S2": FaultPolicy(crash=True),
+            }
+        )
+
+        async def scenario():
+            async with MediatorService(
+                make_example51_collection(), DOMAIN, gateway=gateway
+            ) as service:
+                for _ in range(3):
+                    assert (await service.confidence([R_A])).degraded
+                return service.recent_spans()
+
+        reads = [
+            s["attributes"] for s in run(scenario())
+            if s["name"] == "source_read"
+        ]
+        # S1 fails once and is retried; S2 crashes until its breaker opens.
+        assert reads[0] == {
+            "version": 0, "probed": 2, "short_circuited": 0,
+            "excluded": 1, "retried": 1,
+        }
+        assert reads[-1] == {
+            "version": 0, "probed": 1, "short_circuited": 1,
+            "excluded": 1, "retried": 0,
+        }
 
     def test_response_to_dict_is_json_serializable(self):
         async def scenario():

@@ -9,8 +9,6 @@ from repro.service import (
     RequestStatus,
     SchedulerConfig,
     ServiceResponse,
-    SourceRegistry,
-    RequestScheduler,
 )
 from repro.shard import canonical_order, reset_shard_stats
 
@@ -62,27 +60,43 @@ class TestShardedQueryPath:
         assert scheduler.metrics.counter("shard_fragments_executed").value >= 1
 
     def test_single_store_config_builds_no_executor(self):
-        scheduler, response = answer_with(SchedulerConfig())
-        assert response.status is RequestStatus.OK
-        assert scheduler._shard_executors == {}
-
-
-class TestInvalidation:
-    def test_superseded_shard_stores_are_retired(self):
-        scheduler = make_scheduler(SchedulerConfig(shards=2))
+        scheduler = make_scheduler(SchedulerConfig())
 
         async def scenario():
             await scheduler.start()
             response = await (await scheduler.submit([], query=QUERY))
-            assert response.status is RequestStatus.OK
-            version = scheduler.registry.snapshot().version
-            assert list(scheduler._shard_executors) == [(version, frozenset())]
-            scheduler.discard_plan_statistics(version + 1)
+            contexts = list(scheduler._contexts.values())
             await scheduler.stop()
-            return version
+            return response, contexts
 
-        run(scenario())
-        assert scheduler._shard_executors == {}
+        response, contexts = run(scenario())
+        assert response.status is RequestStatus.OK
+        assert contexts and all(c.executor is None for c in contexts)
+
+
+class TestInvalidation:
+    def test_superseded_shard_stores_are_retired(self):
+        async def scenario():
+            async with MediatorService(
+                make_example51_collection(), DOMAIN,
+                config=SchedulerConfig(shards=2),
+            ) as service:
+                scheduler = service.scheduler
+                response = await service.answer(QUERY)
+                assert response.status is RequestStatus.OK
+                version = service.registry.version()
+                assert list(scheduler._contexts) == [(version, frozenset())]
+                executor = scheduler._contexts[(version, frozenset())].executor
+                assert executor is not None
+                source = service.registry.snapshot().collection.by_name("S2")
+                service.update_source(source.with_bounds(
+                    soundness_bound=source.soundness_bound
+                ))
+                return scheduler, dict(scheduler._contexts), executor
+
+        scheduler, contexts, executor = run(scenario())
+        assert contexts == {}
+        assert executor.sharded.built_fragments()
         assert scheduler.metrics.counter("shard_stores_discarded").value == 1
 
     def test_registry_mutation_retires_through_the_service(self):

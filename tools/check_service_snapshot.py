@@ -4,9 +4,10 @@
 Reads one JSON document from stdin (or a file given as argv[1]) and checks
 the scrape contract that CI's service smoke step relies on: the four
 top-level sections exist, the registry block is sane, request counters
-balance (every submitted request reached exactly one terminal status), and
-every histogram carries the percentile fields. Exit 0 when well-formed,
-1 with a report of every violation otherwise.
+balance (every submitted request reached exactly one terminal status),
+every histogram carries the percentile fields, and the resilience section
+(per-source breakers, present on every snapshot) is well-formed. Exit 0
+when well-formed, 1 with a report of every violation otherwise.
 
 Usage: python -m repro serve FILE --domain a,b --json | python tools/check_service_snapshot.py
 """
@@ -33,7 +34,7 @@ def validate(snapshot: object) -> List[str]:
         return problems
 
     registry = snapshot["registry"]
-    for key in ("version", "sources", "domain_size", "retained_versions"):
+    for key in ("version", "sources", "domain_size"):
         if key not in registry:
             problems.append(f"registry lacks {key!r}")
     if isinstance(registry.get("version"), int) and registry["version"] < 0:
@@ -121,7 +122,9 @@ def validate(snapshot: object) -> List[str]:
         for transition in resilience.get("transitions", ()):
             if not {"source", "from", "to", "at"} <= set(transition):
                 problems.append(f"malformed breaker transition {transition!r}")
-    elif resilience is not None:
+    elif resilience is None:
+        problems.append("missing top-level section 'resilience'")
+    else:
         problems.append(
             f"resilience section is {type(resilience).__name__}, "
             "expected object"
