@@ -43,24 +43,11 @@ def covered_fact_confidences(
     :func:`anonymous_fact_confidence`.
     """
     instance = IdentityInstance(collection, domain)
-    counter = BlockCounter(instance)
-    denominator = counter.count_worlds()
-    if denominator == 0:
-        raise InconsistentCollectionError(
-            "collection admits no possible database over this domain"
-        )
-    out: Dict[Atom, Fraction] = {}
-    for block in instance.blocks:
-        if not block.facts:
-            continue
-        # All facts of a block are interchangeable: compute once per block.
-        representative = block.facts[0]
-        confidence = Fraction(
-            counter.count_worlds_containing(representative), denominator
-        )
-        for f in block.facts:
-            out[f] = confidence
-    return out
+    return {
+        f: confidence
+        for j, confidence in BlockCounter(instance).block_confidences().items()
+        for f in instance.blocks[j].facts
+    }
 
 
 def anonymous_fact_confidence(

@@ -301,8 +301,8 @@ class BlockCounter:
 
     The DP itself lives in :mod:`repro.confidence.engine.kernel` (pure
     functions over a :class:`~repro.confidence.engine.kernel.CountingSpec`);
-    this class is the fact-level serial facade. The parallel, memoized route
-    to the same numbers is
+    this class is the fact-level serial facade. The memoized route to the
+    same numbers is
     :class:`~repro.confidence.engine.ConfidenceEngine`.
     """
 
@@ -310,51 +310,6 @@ class BlockCounter:
         self.instance = instance
         self.spec = kernel.spec_of(instance)
         self._world_count: Optional[int] = None
-
-    # -- the DP -----------------------------------------------------------------
-
-    def _sweep(
-        self,
-        skip_one_of_block: Optional[int] = None,
-        initial_sound: Optional[Sequence[int]] = None,
-        initial_total: int = 0,
-    ) -> Dict[Tuple[Tuple[int, ...], int], int]:
-        """Run the block DP with at most one skipped fact (common case)."""
-        skips = {} if skip_one_of_block is None else {skip_one_of_block: 1}
-        return self._sweep_multi(skips, initial_sound, initial_total)
-
-    def _sweep_multi(
-        self,
-        skip_counts: Dict[int, int],
-        initial_sound: Optional[Sequence[int]] = None,
-        initial_total: int = 0,
-    ) -> Dict[Tuple[Tuple[int, ...], int], int]:
-        """Run the block DP (kernel delegation).
-
-        *skip_counts* reduces block sizes (facts forced in or out of the
-        world are no longer free choices). *initial_sound*/*initial_total*
-        seed the state with the contribution of forced-in facts.
-        """
-        spec = self.spec
-        sizes = list(spec.sizes)
-        for j, count in skip_counts.items():
-            sizes[j] -= count
-            if sizes[j] < 0:
-                return {}
-        return kernel.sweep(
-            spec.signatures, sizes, spec.n_sources, initial_sound, initial_total
-        )
-
-    def _finish(
-        self,
-        states: Dict[Tuple[Tuple[int, ...], int], int],
-        anonymous_size: int,
-    ) -> int:
-        """Fold the anonymous block into swept states and total the count."""
-        spec = self.spec
-        return kernel.finish(
-            states, spec.min_sound, spec.completeness, anonymous_size
-        )
 
     # -- public API ----------------------------------------------------------------
 
@@ -370,27 +325,34 @@ class BlockCounter:
     # -- ranked access ------------------------------------------------------------
 
     def block_confidences(self) -> Dict[int, Fraction]:
-        """Confidence per signature block (all its facts share the value)."""
+        """Confidence per signature block (all its facts share the value).
+
+        One sweep counts the worlds and, per block, the worlds containing
+        one of its facts (see :func:`~repro.confidence.engine.kernel.solve`).
+        """
         from repro.exceptions import InconsistentCollectionError
 
-        denominator = self.count_worlds()
+        track = tuple(
+            j for j, block in enumerate(self.instance.blocks) if block.facts
+        )
+        denominator, _, numerators = kernel.solve(
+            kernel.reduce_spec(self.spec), track
+        )
+        self._world_count = denominator
         if denominator == 0:
             raise InconsistentCollectionError(
                 "collection admits no possible database over this domain"
             )
-        out: Dict[int, Fraction] = {}
-        for j, block in enumerate(self.instance.blocks):
-            if block.facts:
-                out[j] = Fraction(
-                    self.count_worlds_containing(block.facts[0]), denominator
-                )
-        return out
+        return {
+            j: Fraction(numerator, denominator)
+            for j, numerator in zip(track, numerators)
+        }
 
     def top_k_facts(self, k: int) -> List[Tuple[Atom, Fraction]]:
         """The k most-confident covered facts, computed per block.
 
-        One counting pass per block (facts in a block are interchangeable),
-        so the cost is independent of k and of block sizes.
+        One counting sweep for all blocks (facts in a block are
+        interchangeable), so the cost is independent of k and of block sizes.
         """
         if k <= 0:
             return []
@@ -501,7 +463,8 @@ class BlockCounter:
         asserted in the test suite.
         """
         inst = self.instance
-        states = self._sweep()
+        spec = self.spec
+        states = kernel.sweep(spec.signatures, spec.sizes, spec.n_sources)
         distribution: Dict[int, int] = {}
         for (sound, covered_total), weight in states.items():
             if any(

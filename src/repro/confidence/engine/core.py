@@ -1,14 +1,15 @@
-"""The confidence engine: block-parallel, memoized exact + Monte-Carlo.
+"""The confidence engine: memoized exact counting + parallel Monte Carlo.
 
 :class:`ConfidenceEngine` answers the same questions as
 :class:`~repro.confidence.blocks.BlockCounter` — exact confidences over an
-identity-view collection — but decomposes the work into independent counting
-tasks (one per signature block, plus one denominator), consults the memo
-first, and dispatches the remaining tasks through a pluggable executor.
-Monte-Carlo estimation splits the sample budget into fixed-size chunks with
-per-chunk deterministic seeds, so the estimate is a pure function of
-``(instance, facts, samples, seed)`` — *identical* under every executor; the
-executor only decides how many chunks run concurrently.
+identity-view collection — but consults the memo first. Every counting
+question keeps its own canonical key (the denominator, and one numerator
+per signature block); the questions the memo misses are answered by one
+kernel sweep that tracks the missed blocks, and every count it returns is
+stored under its key. Monte-Carlo estimation splits the sample budget into
+fixed-size chunks with per-chunk deterministic seeds, so the estimate is a
+pure function of ``(instance, facts, samples, seed)`` — *identical* under
+every executor; the executor only decides how many chunks run concurrently.
 
 The task list and the aggregation are fixed before dispatch, which is the
 engine's central invariant: serial and parallel execution are exactly
@@ -19,7 +20,6 @@ equivalent, tested property-style in
 from __future__ import annotations
 
 import random
-import time
 from fractions import Fraction
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -39,16 +39,16 @@ if TYPE_CHECKING:  # imported lazily at runtime (blocks.py imports the kernel)
 DEFAULT_SAMPLES_PER_CHUNK = 1000
 
 
-def _solve_task(wire) -> Tuple[int, int, float]:
-    """Worker body for one exact counting task (picklable, top level).
+def _solve_task(task) -> kernel.Solution:
+    """Worker body for one exact counting sweep (picklable, top level).
 
-    Receives the :func:`~repro.confidence.engine.kernel.to_wire` encoding —
-    one flat int tuple — so cross-process chunk shipping serializes plain
-    integers instead of structured Fractions.
+    *task* is ``(wire, track)``: the
+    :func:`~repro.confidence.engine.kernel.to_wire` encoding — one flat int
+    tuple — and the block indices to track, so cross-process shipping
+    serializes plain integers instead of structured Fractions.
     """
-    start = time.perf_counter()
-    count, dp_states = kernel.solve_wire(wire)
-    return count, dp_states, time.perf_counter() - start
+    wire, track = task
+    return kernel.solve_wire(wire, track)
 
 
 def _mc_task(payload) -> Tuple[List[int], int]:
@@ -72,7 +72,7 @@ def _chunk_seed(seed: int, chunk_index: int) -> int:
 
 
 class ConfidenceEngine:
-    """Parallel, memoized confidence computation for identity collections.
+    """Memoized confidence computation for identity collections.
 
     Parameters
     ----------
@@ -80,7 +80,9 @@ class ConfidenceEngine:
         A :class:`SourceCollection` (with *domain*) or a prebuilt
         :class:`IdentityInstance`.
     workers:
-        ``0``/``1`` = serial; ``>= 2`` = that many worker processes.
+        ``0``/``1`` = serial; ``>= 2`` = that many worker processes. They
+        run Monte-Carlo chunks and batches of several counting sweeps (as
+        in :meth:`joint_confidence`); :meth:`confidences` is one sweep.
     mode:
         ``"process"`` (one task per dispatch), ``"chunked"`` (batched
         dispatch), or ``"serial"``. Ignored when ``workers <= 1``.
@@ -132,19 +134,34 @@ class ConfidenceEngine:
 
     # -- exact counting ---------------------------------------------------------
 
-    def _count_many(
-        self, problems: Sequence[Optional[kernel.ReducedProblem]]
-    ) -> List[int]:
-        """Counts for several reduced problems: memo, dedup, then dispatch."""
-        counts: List[Optional[int]] = [None] * len(problems)
-        pending: Dict[object, List[int]] = {}
-        pending_problems: List[Tuple[int, ...]] = []
-        pending_keys: List[object] = []
+    def _sweep(
+        self, tasks: Sequence[Tuple[Tuple[int, ...], Tuple[int, ...]]]
+    ) -> List[kernel.Solution]:
+        """Run ``(wire, track)`` sweeps through the executor."""
+        self.stats.tasks_dispatched += len(tasks)
+        with self.stats.time("count"):
+            solutions = self.executor.map(_solve_task, tasks)
+        self.stats.dp_states += sum(s.dp_states for s in solutions)
+        return solutions
 
+    def _count_many(
+        self,
+        problems: Sequence[Optional[kernel.ReducedProblem]],
+        blocks: Optional[Sequence[Optional[int]]] = None,
+    ) -> List[int]:
+        """Counts for several reduced problems: memo, dedup, then dispatch.
+
+        Without *blocks*, each distinct missed problem is one sweep. With
+        *blocks*, ``problems[0]`` is the unforced problem and
+        ``problems[i]`` forces one fact of block ``blocks[i]`` in
+        (``blocks[0]`` is ``None``): every miss is then answered by one
+        sweep of ``problems[0]`` that tracks the missed blocks.
+        """
+        counts: List[int] = [0] * len(problems)
+        pending: Dict[object, List[int]] = {}
         with self.stats.time("plan"):
             for index, problem in enumerate(problems):
                 if problem is None:
-                    counts[index] = 0
                     continue
                 self.stats.tasks_submitted += 1
                 key = canonical_key(problem) if self.memo is not None else problem
@@ -154,27 +171,30 @@ class ConfidenceEngine:
                         self.stats.tasks_memoized += 1
                         counts[index] = value
                         continue
-                if key in pending:
-                    pending[key].append(index)
-                else:
-                    pending[key] = [index]
-                    pending_problems.append(kernel.to_wire(problem))
-                    pending_keys.append(key)
+                pending.setdefault(key, []).append(index)
 
-        if pending_problems:
-            self.stats.tasks_dispatched += len(pending_problems)
-            with self.stats.time("count"):
-                results = self.executor.map(_solve_task, pending_problems)
-            for key, (count, dp_states, _elapsed) in zip(pending_keys, results):
-                self.stats.dp_states += dp_states
+        if pending:
+            firsts = [indices[0] for indices in pending.values()]
+            if blocks is None:
+                solutions = self._sweep(
+                    [(kernel.to_wire(problems[i]), ()) for i in firsts]
+                )
+                found = [solution.count for solution in solutions]
+            else:
+                track = tuple(blocks[i] for i in firsts if blocks[i] is not None)
+                [solution] = self._sweep([(kernel.to_wire(problems[0]), track)])
+                by_block = dict(zip(track, solution.containing))
+                by_block[None] = solution.count
+                found = [by_block[blocks[i]] for i in firsts]
+            for (key, indices), count in zip(pending.items(), found):
                 if self.memo is not None:
                     self.memo.store(key, count)
-                for index in pending[key]:
+                for index in indices:
                     counts[index] = count
 
         if self.memo is not None:
             self.stats.cache = self.memo.stats()
-        return counts  # type: ignore[return-value]
+        return counts
 
     def count_worlds(self) -> int:
         """``|poss(S)|`` over the finite fact space."""
@@ -186,30 +206,24 @@ class ConfidenceEngine:
         """Non-emptiness of poss(S) over the finite fact space."""
         return self.count_worlds() > 0
 
-    def _denominator(self) -> int:
-        denominator = self.count_worlds()
-        if denominator == 0:
-            raise InconsistentCollectionError(
-                "collection admits no possible database over this domain"
-            )
-        return denominator
-
     def confidences(self) -> Dict[Atom, Fraction]:
         """Exact confidence of every covered fact (global form).
 
-        One counting task per signature block plus the shared denominator;
-        block-mates reuse their block's count (facts in a block are
-        interchangeable).
+        The denominator and one numerator per signature block are looked up
+        under their own keys; whatever misses is counted by one sweep of the
+        unforced problem that tracks the missed blocks (alpha-equivalent
+        blocks share a key, so one of them is tracked). Block-mates share
+        their block's count (facts in a block are interchangeable).
         """
         instance = self.instance
         with self.stats.time("decompose"):
+            blocks: List[Optional[int]] = [None]
+            blocks += [j for j, block in enumerate(instance.blocks) if block.facts]
             problems = [kernel.reduce_spec(self.spec)]
-            block_indices: List[int] = []
-            for j, block in enumerate(instance.blocks):
-                if block.facts:
-                    problems.append(kernel.reduce_spec(self.spec, forced={j: 1}))
-                    block_indices.append(j)
-        counts = self._count_many(problems)
+            problems += [
+                kernel.reduce_spec(self.spec, forced={j: 1}) for j in blocks[1:]
+            ]
+        counts = self._count_many(problems, blocks)
         denominator = counts[0]
         self.stats.worlds_counted = denominator
         if denominator == 0:
@@ -218,7 +232,7 @@ class ConfidenceEngine:
             )
         with self.stats.time("assemble"):
             out: Dict[Atom, Fraction] = {}
-            for j, numerator in zip(block_indices, counts[1:]):
+            for j, numerator in zip(blocks[1:], counts[1:]):
                 confidence = Fraction(numerator, denominator)
                 for f in instance.blocks[j].facts:
                     out[f] = confidence
@@ -229,7 +243,8 @@ class ConfidenceEngine:
         return self.joint_confidence([fact])
 
     def joint_confidence(self, facts: Iterable[Atom]) -> Fraction:
-        """``Pr(all facts ∈ D | D ∈ poss(S))`` — one forced-blocks task."""
+        """``Pr(all facts ∈ D | D ∈ poss(S))``: the denominator and one
+        forced-blocks problem, two count-only sweeps on a miss."""
         instance = self.instance
         with self.stats.time("decompose"):
             forced: Dict[Optional[int], int] = {}

@@ -19,13 +19,19 @@ A *reduced problem* folds forced-in facts (numerator counts "worlds
 containing t": shrink t's block, seed the sound counts) and forced-out facts
 (complement counts: shrink the block, no seed) into the spec itself, so
 distinct questions that induce the same arithmetic collide in the cache.
+
+One sweep of the unforced problem also answers every single-fact numerator:
+:func:`solve` tracks, per requested block, the number of its facts the
+worlds contain, which is ``|B_j|`` times the count for forcing one of them
+in. All confidences of an instance thus cost one sweep, not one per block.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Dict, Mapping, NamedTuple, Optional, Sequence, Tuple
+from operator import add
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 State = Tuple[Tuple[int, ...], int]
 StateMap = Dict[State, int]
@@ -193,9 +199,11 @@ def from_wire(wire: Optional[Tuple[int, ...]]) -> Optional[ReducedProblem]:
     )
 
 
-def solve_wire(wire: Optional[Tuple[int, ...]]) -> Tuple[int, int]:
+def solve_wire(
+    wire: Optional[Tuple[int, ...]], track: Sequence[int] = ()
+) -> Solution:
     """Decode-and-solve; the body workers run in other processes."""
-    return solve(from_wire(wire))
+    return solve(from_wire(wire), track)
 
 
 def partial_binomial_sum(n: int, k_max: int) -> int:
@@ -219,30 +227,75 @@ def max_total_for(
     return cap
 
 
+def field_width(sizes: Sequence[int]) -> int:
+    """Bits per field of a tracked sweep's packed values (see :func:`sweep`).
+
+    With S facts in the swept blocks, the weights of any set of states sum
+    to at most 2^S and each block's moments to at most S·2^S, so every
+    field of a state, or of a sum of states, stays below
+    ``2 ** field_width(sizes)``.
+    """
+    swept = max(sum(sizes), 0)  # negative sizes: infeasible, swept to {}
+    return swept + swept.bit_length() + 1
+
+
 def sweep(
     signatures: Sequence[Tuple[int, ...]],
     sizes: Sequence[int],
     n_sources: int,
     initial_sound: Optional[Sequence[int]] = None,
     initial_total: int = 0,
+    track: Sequence[int] = (),
+    width: int = 0,
 ) -> StateMap:
-    """The block DP: weight of every reachable (sound counts, total) state."""
+    """The block DP: the value of every reachable (sound counts, total) state.
+
+    A state's value is its weight: the number of ways to choose facts from
+    the swept blocks that reach it. Once the layer of a block in *track* is
+    swept, the value also carries that block's *moment*: the path-weighted
+    number of facts chosen from it. The fields are packed into one int,
+    *width* bits each (:func:`field_width`), the weight lowest and the
+    moments above it in block order. Scaling a value by a binomial
+    coefficient and summing two values then act on every field at once, and
+    an empty *track* is exactly the plain weight DP.
+    """
     start_sound = tuple(initial_sound) if initial_sound else (0,) * n_sources
     states: StateMap = {(start_sound, initial_total): 1}
-    for signature, size in zip(signatures, sizes):
+    tracked = set(track)
+    mask = (1 << width) - 1
+    shift = 0
+    for j, (signature, size) in enumerate(zip(signatures, sizes)):
         if size < 0:
             return {}
-        signature_set = set(signature)
+        # One move per number of chosen facts, shared by the whole layer.
+        moves = [
+            (
+                tuple(
+                    chosen if i in signature else 0 for i in range(n_sources)
+                ),
+                chosen,
+                math.comb(size, chosen),
+            )
+            for chosen in range(size + 1)
+        ]
         next_states: StateMap = {}
-        for (sound, total), weight in states.items():
-            for chosen in range(size + 1):
-                coefficient = math.comb(size, chosen)
-                new_sound = tuple(
-                    sound[i] + (chosen if i in signature_set else 0)
-                    for i in range(n_sources)
-                )
-                key = (new_sound, total + chosen)
-                next_states[key] = next_states.get(key, 0) + weight * coefficient
+        get = next_states.get
+        if j in tracked:
+            shift += width
+            for (sound, total), value in states.items():
+                weight = value & mask
+                for increment, chosen, coefficient in moves:
+                    key = (tuple(map(add, sound, increment)), total + chosen)
+                    next_states[key] = (
+                        get(key, 0)
+                        + value * coefficient
+                        + ((weight * coefficient * chosen) << shift)
+                    )
+        else:
+            for (sound, total), value in states.items():
+                for increment, chosen, coefficient in moves:
+                    key = (tuple(map(add, sound, increment)), total + chosen)
+                    next_states[key] = get(key, 0) + value * coefficient
         states = next_states
     return states
 
@@ -252,45 +305,93 @@ def finish(
     min_sound: Sequence[int],
     completeness: Sequence[Fraction],
     anonymous_size: int,
-) -> int:
-    """Fold the anonymous block into swept states and total the count."""
-    total_count = 0
+    track: Sequence[int] = (),
+    width: int = 0,
+) -> List[int]:
+    """Fold the anonymous block into swept states and total every field.
+
+    Returns the world count, then one total moment per tracked block in
+    block order. A state may add up to *budget* anonymous facts, so the
+    states are summed per budget while still packed, and each sum is
+    unpacked once and scaled by its ``Σ_k C(anonymous_size, k)``: the
+    anonymous factor, which can be far wider than a field, never enters a
+    packed value.
+    """
+    by_budget: Dict[int, int] = {}
     n = len(min_sound)
-    for (sound, covered_total), weight in states.items():
+    for (sound, covered_total), value in states.items():
         if any(sound[i] < min_sound[i] for i in range(n)):
             continue
         cap = max_total_for(completeness, sound)
         if cap is None:
-            anonymous_choices = 1 << anonymous_size
+            budget = anonymous_size
         else:
-            budget = cap - covered_total
+            budget = min(cap - covered_total, anonymous_size)
             if budget < 0:
                 continue
-            anonymous_choices = partial_binomial_sum(anonymous_size, budget)
-        total_count += weight * anonymous_choices
-    return total_count
+        by_budget[budget] = by_budget.get(budget, 0) + value
+    totals = [0] * (1 + len(set(track)))
+    mask = (1 << width) - 1
+    for budget, value in by_budget.items():
+        anonymous_choices = partial_binomial_sum(anonymous_size, budget)
+        for field in range(len(totals) - 1):
+            totals[field] += (value & mask) * anonymous_choices
+            value >>= width
+        totals[-1] += value * anonymous_choices
+    return totals
 
 
-def solve(problem: Optional[ReducedProblem]) -> Tuple[int, int]:
-    """Count the worlds of a reduced problem.
+class Solution(NamedTuple):
+    """What one sweep of a reduced problem counts."""
 
-    Returns ``(count, dp_states)``; *dp_states* is the size of the final DP
-    layer, the instrumentation's measure of how hard the sweep was.
-    ``None`` problems (infeasible reductions) count zero worlds.
+    count: int                    #: worlds of the problem
+    dp_states: int                #: size of the final DP layer
+    #: per tracked block: worlds containing one given free fact of it
+    containing: Tuple[int, ...]
+
+
+def solve(
+    problem: Optional[ReducedProblem], track: Sequence[int] = ()
+) -> Solution:
+    """Count the worlds of a reduced problem in one sweep.
+
+    For each block index in *track*, also count the worlds that contain
+    one given free fact of that block, which is what the forced problem
+    ``forced={j: 1}`` counts. Facts of a block are interchangeable, so
+    summing ``|W ∩ B_j|`` over the worlds W gives ``|B_j|`` times that
+    count: the block's moment divided by its free size, exactly, because
+    ``C(n, k)·k = n·C(n−1, k−1)``. A block with no free fact counts zero.
+
+    *dp_states* is the size of the final DP layer, the instrumentation's
+    measure of how hard the sweep was. ``None`` problems (infeasible
+    reductions) count zero worlds.
     """
     if problem is None:
-        return 0, 0
+        return Solution(0, 0, (0,) * len(track))
+    width = field_width(problem.sizes)
     states = sweep(
         problem.signatures,
         problem.sizes,
         problem.n_sources,
         initial_sound=problem.seed_sound,
         initial_total=problem.seed_total,
+        track=track,
+        width=width,
     )
-    count = finish(
-        states, problem.min_sound, problem.completeness, problem.anonymous_size
+    count, *moments = finish(
+        states,
+        problem.min_sound,
+        problem.completeness,
+        problem.anonymous_size,
+        track=track,
+        width=width,
     )
-    return count, len(states)
+    moment_of = dict(zip(sorted(set(track)), moments))
+    sizes = problem.sizes
+    containing = tuple(
+        moment_of[j] // sizes[j] if sizes[j] else 0 for j in track
+    )
+    return Solution(count, len(states), containing)
 
 
 def count_worlds(spec: CountingSpec) -> int:

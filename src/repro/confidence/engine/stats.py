@@ -29,11 +29,13 @@ class EngineStats:
     """Counters for one engine instance.
 
     ``worlds_counted`` is the latest ``|poss(S)|`` denominator computed;
-    ``dp_states`` accumulates final-layer DP state counts across counting
-    tasks (the size of the swept state space, the engine's work measure);
-    ``tasks_memoized`` out of ``tasks_submitted`` were answered by the
-    cache without running a sweep; ``tasks_dispatched`` actually reached
-    the executor (submitted − memoized − deduplicated-within-batch).
+    ``tasks_submitted`` counts counting questions (a ``confidences()`` call
+    asks the denominator and one numerator per block), of which
+    ``tasks_memoized`` were answered by the cache; ``tasks_dispatched``
+    counts the kernel sweeps that actually ran (one answers every missed
+    question of a ``confidences()`` call); ``dp_states`` accumulates their
+    final-layer DP state counts (the size of the swept state space, the
+    engine's work measure).
     """
 
     executor: str = "serial"

@@ -132,10 +132,16 @@ class SourceDescriptor:
         return measures.soundness(self.view, self.extension, database)
 
     def satisfied_by(self, database: GlobalDatabase) -> bool:
-        """Does *database* honour both declared bounds? (Section 3's constraint)"""
+        """Does *database* honour both declared bounds? (Section 3's constraint)
+
+        Evaluates ``φ(D)`` once for both measures.
+        """
+        intended = self.view.apply(database)
         return (
-            self.completeness(database) >= self.completeness_bound
-            and self.soundness(database) >= self.soundness_bound
+            measures.completeness_of_extension(self.extension, intended)
+            >= self.completeness_bound
+            and measures.soundness_of_extension(self.extension, intended)
+            >= self.soundness_bound
         )
 
     def is_identity(self) -> bool:

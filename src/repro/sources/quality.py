@@ -26,8 +26,6 @@ import random
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
 
-from scipy import stats
-
 from repro.exceptions import SourceError
 from repro.model.atoms import Atom
 
@@ -46,6 +44,8 @@ def clopper_pearson_lower(successes: int, trials: int, confidence: float) -> flo
         raise SourceError(f"confidence must be in (0, 1): {confidence}")
     if successes == 0:
         return 0.0
+    from scipy import stats  # imported here: scipy is slow to import
+
     alpha = 1.0 - confidence
     return float(stats.beta.ppf(alpha, successes, trials - successes + 1))
 
@@ -87,6 +87,8 @@ def required_sample_size(confidence: float, margin: float, p_guess: float = 0.5)
         raise SourceError(f"confidence must be in (0, 1): {confidence}")
     if not 0 < margin < 1:
         raise SourceError(f"margin must be in (0, 1): {margin}")
+    from scipy import stats  # imported here: scipy is slow to import
+
     z = float(stats.norm.ppf(0.5 + confidence / 2.0))
     return max(1, math.ceil(z * z * p_guess * (1.0 - p_guess) / (margin * margin)))
 

@@ -19,6 +19,8 @@ from repro.confidence.engine import (
     LRUMemo,
     ProcessExecutor,
     SerialExecutor,
+    canonical_key,
+    kernel,
     make_executor,
 )
 from repro.consistency import (
@@ -109,6 +111,75 @@ def test_private_memo_serves_second_pass():
         assert first == second
         assert engine.stats.tasks_dispatched == dispatched_cold
         assert engine.stats.tasks_memoized > 0
+
+
+class RecordingExecutor(SerialExecutor):
+    """A serial executor that keeps every task it is given."""
+
+    def __init__(self):
+        super().__init__()
+        self.tasks = []
+
+    def map(self, fn, items):
+        items = list(items)
+        self.tasks.extend(items)
+        return super().map(fn, items)
+
+
+def asymmetric_example51() -> SourceCollection:
+    """Example 5.1 with S2 fully sound: no two blocks share a memo key."""
+    collection = example51()
+    return SourceCollection(
+        [
+            collection.sources[0],
+            collection.sources[1].with_bounds(soundness_bound=1),
+        ]
+    )
+
+
+def test_confidences_is_one_sweep_tracking_every_block():
+    executor = RecordingExecutor()
+    with ConfidenceEngine(
+        asymmetric_example51(), DOMAIN, executor=executor, cache_size=0
+    ) as engine:
+        engine.confidences()
+        assert engine.stats.tasks_submitted == 1 + len(engine.instance.blocks)
+        assert engine.stats.tasks_dispatched == 1
+    [(_wire, track)] = executor.tasks
+    assert track == tuple(range(len(engine.instance.blocks)))
+
+
+@pytest.mark.parametrize("missed_blocks", [(), (1,), (0, 2)])
+def test_partial_memo_hit_sweeps_once_for_the_missed_keys(missed_blocks):
+    """Denominator key discarded, block keys cached except *missed_blocks*."""
+    collection = asymmetric_example51()
+    memo = LRUMemo(64)
+    with ConfidenceEngine(collection, DOMAIN, memo=memo) as engine:
+        expected = engine.confidences()
+        spec = engine.spec
+    denominator = kernel.reduce_spec(spec)
+    forced = [
+        kernel.reduce_spec(spec, forced={j: 1}) for j in range(spec.n_blocks)
+    ]
+    block_keys = [canonical_key(problem) for problem in forced]
+    assert len(set(block_keys)) == spec.n_blocks == 3
+    assert memo.discard(canonical_key(denominator))
+    for j in missed_blocks:
+        assert memo.discard(block_keys[j])
+
+    executor = RecordingExecutor()
+    with ConfidenceEngine(
+        collection, DOMAIN, memo=memo, executor=executor
+    ) as engine:
+        assert engine.confidences() == expected
+        assert engine.stats.tasks_submitted == 1 + spec.n_blocks
+        assert engine.stats.tasks_memoized == spec.n_blocks - len(missed_blocks)
+        assert engine.stats.tasks_dispatched == 1
+    [(_wire, track)] = executor.tasks
+    assert track == missed_blocks
+    assert memo.peek(canonical_key(denominator)) == kernel.solve(denominator)[0]
+    for j in missed_blocks:
+        assert memo.peek(block_keys[j]) == kernel.solve(forced[j])[0]
 
 
 def test_stats_sanity():

@@ -18,7 +18,13 @@ from fractions import Fraction
 import pytest
 
 from repro.model import fact
-from repro.confidence import BlockCounter, GammaSystem, IdentityInstance
+from repro.confidence import (
+    BlockCounter,
+    ConfidenceEngine,
+    GammaSystem,
+    IdentityInstance,
+    covered_fact_confidences,
+)
 
 from tests.conftest import example51_domain, make_example51_collection
 
@@ -69,6 +75,54 @@ class TestHandEnumeration:
         assert bc.confidence(fact("R", "a")) == Fraction(4, 7)
         assert bc.confidence(fact("R", "b")) == Fraction(6, 7)
         assert bc.confidence(fact("R", "d1")) == Fraction(2, 7)
+
+
+class TestOneSweepRoutes:
+    """Every route through the one-sweep counting gives the m = 1 values."""
+
+    EXPECTED = {
+        fact("R", "a"): Fraction(4, 7),
+        fact("R", "b"): Fraction(6, 7),
+        fact("R", "c"): Fraction(4, 7),
+    }
+
+    def test_engine(self):
+        with ConfidenceEngine(
+            make_example51_collection(), example51_domain(1), cache_size=0
+        ) as engine:
+            assert engine.confidences() == self.EXPECTED
+            assert engine.stats.worlds_counted == 7
+            assert engine.stats.tasks_dispatched == 1
+
+    def test_block_confidences(self):
+        bc = counter(1)
+        per_block = bc.block_confidences()
+        assert bc.count_worlds() == 7
+        assert {
+            f: per_block[j]
+            for j, block in enumerate(bc.instance.blocks)
+            for f in block.facts
+        } == self.EXPECTED
+
+    def test_block_confidences_with_a_large_anonymous_block(self):
+        m = 100_000
+        bc = counter(m)
+        per_block = bc.block_confidences()
+        assert bc.count_worlds() == 2 * m + 5
+        assert per_block[bc.instance.block_of(fact("R", "b"))] == Fraction(
+            2 * m + 4, 2 * m + 5
+        )
+        assert per_block[bc.instance.block_of(fact("R", "a"))] == Fraction(
+            m + 3, 2 * m + 5
+        )
+
+    def test_covered_fact_confidences(self):
+        assert (
+            covered_fact_confidences(
+                make_example51_collection(), example51_domain(1)
+            )
+            == self.EXPECTED
+        )
 
 
 class TestLimits:

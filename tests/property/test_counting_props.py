@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from repro.model import fact
 from repro.confidence import BlockCounter, GammaSystem, IdentityInstance
+from repro.confidence.engine import kernel
 
 from tests.property.strategies import VALUES, identity_collections
 
@@ -77,3 +78,43 @@ def test_sound_facts_of_fully_sound_source_are_certain(collection):
         if source.soundness_bound == 1:
             for local in source.extension:
                 assert blocks.confidence(fact("R", local.args[0].value)) == 1
+
+
+@given(identity_collections())
+@settings(max_examples=50, deadline=None)
+def test_tracked_sweep_equals_per_block_solves(collection):
+    """One tracked sweep gives every block's forced-problem count."""
+    spec = kernel.spec_of(IdentityInstance(collection, DOMAIN))
+    track = tuple(range(spec.n_blocks))
+    count, _, containing = kernel.solve(kernel.reduce_spec(spec), track)
+    assert count == kernel.count_worlds(spec)
+    for j, numerator in zip(track, containing):
+        forced = kernel.reduce_spec(spec, forced={j: 1})
+        assert numerator == kernel.solve(forced)[0]
+
+
+@given(identity_collections(), st.data())
+@settings(max_examples=50, deadline=None)
+def test_tracking_a_subset_gives_the_same_counts(collection, data):
+    spec = kernel.spec_of(IdentityInstance(collection, DOMAIN))
+    every = tuple(range(spec.n_blocks))
+    subset = tuple(
+        j for j in every if data.draw(st.booleans(), label=f"track {j}")
+    )
+    base = kernel.reduce_spec(spec)
+    full = dict(zip(every, kernel.solve(base, every).containing))
+    count, _, containing = kernel.solve(base, subset)
+    assert count == kernel.count_worlds(spec)
+    assert containing == tuple(full[j] for j in subset)
+
+
+@given(identity_collections())
+@settings(max_examples=40, deadline=None)
+def test_block_confidences_match_brute_force(collection):
+    instance = IdentityInstance(collection, DOMAIN)
+    gamma = GammaSystem(instance)
+    if gamma.count_solutions() == 0:
+        return
+    for j, confidence in BlockCounter(instance).block_confidences().items():
+        for f in instance.blocks[j].facts:
+            assert confidence == gamma.confidence(f)

@@ -99,6 +99,24 @@ class TestMeasuresAndSatisfaction:
         tighter = s.with_bounds(soundness_bound="3/4")
         assert not tighter.satisfied_by(db)
 
+    def test_satisfied_by_evaluates_the_view_once(self, monkeypatch):
+        from repro.queries import ConjunctiveQuery
+
+        calls = []
+        apply = ConjunctiveQuery.apply
+
+        def counting_apply(query, database):
+            calls.append(query)
+            return apply(query, database)
+
+        monkeypatch.setattr(ConjunctiveQuery, "apply", counting_apply)
+        view = parse_rule("V(x) <- R(x, y)")
+        s = SourceDescriptor(view, [fact("V", 1), fact("V", 9)], "1/2", "1/2")
+        db = GlobalDatabase([fact("R", 1, 2), fact("R", 2, 3)])
+        # Completeness holds, so both measures are checked.
+        assert s.satisfied_by(db)
+        assert len(calls) == 1
+
     def test_intended_content(self):
         view = parse_rule("V(x) <- R(x, y)")
         s = SourceDescriptor(view, [], 0, 0)

@@ -1,10 +1,15 @@
 """Tests for the §2.2 quality estimators."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.exceptions import SourceError
 from repro.model import fact
 from repro.sources.quality import (
@@ -113,3 +118,16 @@ class TestEstimateCompleteness:
             estimate_completeness(-1, 10, 0.5)
         with pytest.raises(SourceError):
             estimate_completeness(1, 10, 1.5)
+
+
+def test_import_repro_does_not_load_scipy():
+    """Only the two estimators that call scipy import it."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-c", "import sys, repro; print('scipy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert result.stdout.strip() == "False"
