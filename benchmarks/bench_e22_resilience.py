@@ -98,7 +98,7 @@ async def _drive(collection, domain, chaos: str, requests: int, pace: float,
                  seed: int):
     """One scenario: a paced request burst under a chaos schedule."""
     gateway = PerSourceGateway(seed=seed)
-    runner = ChaosRunner(gateway, ChaosSchedule.parse(chaos, seed=seed))
+    runner = ChaosRunner(gateway, ChaosSchedule.parse(chaos))
     service = MediatorService(
         collection, domain,
         config=SchedulerConfig(

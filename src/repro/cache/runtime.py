@@ -224,9 +224,8 @@ class LRUMemo:
         """The entry's value, minting it atomically on first sight.
 
         The factory runs under the cache lock, so exactly one value is ever
-        minted per key — the get-or-assign discipline token issuance needs
-        (two tokens for one fragment would defeat the worker-side payload
-        cache). Keep factories cheap and free of cache/registry reentry.
+        minted per key. Keep factories cheap and free of cache/registry
+        reentry.
         """
         with self._lock:
             entry = self._data.get(key)

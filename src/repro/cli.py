@@ -4,9 +4,9 @@ Commands operate on source-collection files in the :mod:`repro.io` format:
 
 * ``check FILE [--workers N]`` — decide CONSISTENCY; print the verdict and
   a witness. ``--workers`` checks independent source groups in parallel.
-* ``confidence FILE --domain a,b,c [--workers N] [--cache N] [--stats]`` —
+* ``confidence FILE --domain a,b,c [--cache N] [--stats]`` —
   exact base-fact confidences (identity-view collections), ranked, computed
-  by the parallel memoized engine.
+  by the memoized engine.
 * ``worlds FILE --domain a,b,c [--limit N]`` — enumerate possible worlds.
 * ``audit FILE --world WORLDFILE`` — measured vs declared quality against a
   reference database.
@@ -56,12 +56,6 @@ def _domain(value: str) -> List[str]:
 
 
 def _add_engine_flags(subparser: argparse.ArgumentParser) -> None:
-    subparser.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help="worker processes for the confidence engine (0/1 = serial)",
-    )
     subparser.add_argument(
         "--cache",
         type=int,
@@ -133,10 +127,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="hash-partition each world into N shards and answer via "
         "scatter-gather execution (repro.shard); with --explain the shard "
         "plan (strategy, pruned-shard count) is printed too (default 1)",
-    )
-    answer.add_argument(
-        "--shard-workers", type=int, default=0,
-        help="worker processes for shard fragments (0/1 = serial)",
     )
     answer.add_argument(
         "--cache-budget-mb", type=float, default=None, metavar="MB",
@@ -227,10 +217,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="answer query requests over an N-shard partition of each "
         "snapshot's certain database (default 1 = single store)",
     )
-    serve.add_argument(
-        "--shard-workers", type=int, default=0,
-        help="worker processes for shard fragments (0/1 = serial)",
-    )
     serve.add_argument("--seed", type=int, default=0, help="fault RNG seed")
     serve.add_argument(
         "--source-fault", action="append", default=[], metavar="NAME:MODE",
@@ -296,10 +282,7 @@ def cmd_check(args) -> int:
 def cmd_confidence(args) -> int:
     collection = load_collection(args.file)
     with ConfidenceEngine(
-        collection,
-        args.domain,
-        workers=args.workers,
-        cache_size=args.cache,
+        collection, args.domain, cache_size=args.cache
     ) as engine:
         confidences = engine.confidences()
         for f, conf in sorted(
@@ -408,27 +391,17 @@ def cmd_answer(args) -> int:
         )
         print()
     apply = None
-    pool = None
     if spec is not None:
-        from repro.confidence.engine.executors import make_executor
         from repro.shard import evaluate_sharded
 
-        pool = make_executor(args.shard_workers, mode="process")
+        def apply(q, world):
+            return evaluate_sharded(q, world, spec)
 
-        def apply(q, world, _spec=spec, _pool=pool):
-            return evaluate_sharded(
-                q, world, _spec, workers=args.shard_workers, pool=_pool
-            )
-
-    try:
-        result = answer_query(query, collection, args.domain, apply=apply)
-        full_certain = (
-            answer_query(query, full_collection, args.domain, apply=apply).certain
-            if excluded else None
-        )
-    finally:
-        if pool is not None:
-            pool.close()
+    result = answer_query(query, collection, args.domain, apply=apply)
+    full_certain = (
+        answer_query(query, full_collection, args.domain, apply=apply).certain
+        if excluded else None
+    )
     if excluded:
         print(f"excluded sources (annotations demoted): {', '.join(excluded)}")
     print(f"possible worlds: {result.world_count}")
@@ -568,14 +541,13 @@ def cmd_serve(args) -> int:
     if args.chaos:
         spec_parts.append(args.chaos)
     chaos_runner = ChaosRunner(
-        gateway, ChaosSchedule.parse(",".join(spec_parts), seed=args.seed)
+        gateway, ChaosSchedule.parse(",".join(spec_parts))
     )
     chaos_runner.advance(0.0)
     config = SchedulerConfig(
         max_queue=args.queue,
         max_batch=args.batch,
         shards=args.shards,
-        shard_workers=args.shard_workers,
         resilience=ResilienceConfig(
             source_timeout=args.source_timeout_ms / 1000.0,
             hedge_delay=args.hedge_ms / 1000.0,

@@ -19,7 +19,6 @@ from repro.confidence.base_facts import (
 )
 from repro.confidence.blocks import BlockCounter, IdentityInstance, SignatureBlock
 from repro.confidence.engine import (
-    ChunkedExecutor,
     ConfidenceEngine,
     EngineStats,
     LRUMemo,
@@ -60,7 +59,6 @@ __all__ = [
     "LRUMemo",
     "SerialExecutor",
     "ProcessExecutor",
-    "ChunkedExecutor",
     "make_executor",
     "shared_memo",
     "ExactCalculus",

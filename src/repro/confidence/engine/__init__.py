@@ -6,8 +6,8 @@ Layering, bottom up:
   data (``CountingSpec`` / ``ReducedProblem``); the unit of work.
 * :mod:`~repro.confidence.engine.memo` — canonical keys for alpha-equivalent
   counting problems and the shared LRU cache.
-* :mod:`~repro.confidence.engine.executors` — serial / process-pool /
-  chunked-batch task execution behind one ``map`` interface.
+* :mod:`~repro.confidence.engine.executors` — serial and process-pool
+  task execution behind one ``map`` interface (Monte-Carlo chunks).
 * :mod:`~repro.confidence.engine.stats` — stage timers and work counters.
 * :mod:`~repro.confidence.engine.core` — :class:`ConfidenceEngine`, tying
   the layers together.
@@ -18,7 +18,6 @@ from repro.confidence.engine.core import (
     ConfidenceEngine,
 )
 from repro.confidence.engine.executors import (
-    ChunkedExecutor,
     ProcessExecutor,
     SerialExecutor,
     available_cpus,
@@ -46,7 +45,6 @@ __all__ = [
     "DEFAULT_SAMPLES_PER_CHUNK",
     "SerialExecutor",
     "ProcessExecutor",
-    "ChunkedExecutor",
     "make_executor",
     "available_cpus",
     "CountingSpec",

@@ -6,14 +6,15 @@ identity-view collection — but consults the memo first. Every counting
 question keeps its own canonical key (the denominator, and one numerator
 per signature block); the questions the memo misses are answered by one
 kernel sweep that tracks the missed blocks, and every count it returns is
-stored under its key. Monte-Carlo estimation splits the sample budget into
-fixed-size chunks with per-chunk deterministic seeds, so the estimate is a
-pure function of ``(instance, facts, samples, seed)`` — *identical* under
-every executor; the executor only decides how many chunks run concurrently.
+stored under its key. Counting runs in-process: one instance's confidences
+are one sweep, which no worker pool can split.
 
-The task list and the aggregation are fixed before dispatch, which is the
-engine's central invariant: serial and parallel execution are exactly
-equivalent, tested property-style in
+Monte-Carlo estimation splits the sample budget into fixed-size chunks with
+per-chunk deterministic seeds, so the estimate is a pure function of
+``(instance, facts, samples, seed)`` — *identical* under every executor;
+the executor only decides how many chunks run concurrently. The chunk list
+and the aggregation are fixed before dispatch, which is what makes serial
+and parallel estimates bit-identical, tested property-style in
 ``tests/property/test_engine_equivalence.py``.
 """
 
@@ -37,18 +38,6 @@ if TYPE_CHECKING:  # imported lazily at runtime (blocks.py imports the kernel)
 #: Monte-Carlo samples per dispatch chunk (fixed so that the chunking — and
 #: therefore the estimate — does not depend on the executor or worker count).
 DEFAULT_SAMPLES_PER_CHUNK = 1000
-
-
-def _solve_task(task) -> kernel.Solution:
-    """Worker body for one exact counting sweep (picklable, top level).
-
-    *task* is ``(wire, track)``: the
-    :func:`~repro.confidence.engine.kernel.to_wire` encoding — one flat int
-    tuple — and the block indices to track, so cross-process shipping
-    serializes plain integers instead of structured Fractions.
-    """
-    wire, track = task
-    return kernel.solve_wire(wire, track)
 
 
 def _mc_task(payload) -> Tuple[List[int], int]:
@@ -81,17 +70,14 @@ class ConfidenceEngine:
         :class:`IdentityInstance`.
     workers:
         ``0``/``1`` = serial; ``>= 2`` = that many worker processes. They
-        run Monte-Carlo chunks and batches of several counting sweeps (as
-        in :meth:`joint_confidence`); :meth:`confidences` is one sweep.
-    mode:
-        ``"process"`` (one task per dispatch), ``"chunked"`` (batched
-        dispatch), or ``"serial"``. Ignored when ``workers <= 1``.
+        run Monte-Carlo chunks only; exact counting always runs in-process.
     cache_size:
         ``None`` = share the process-wide memo; ``0`` = no memoization;
         otherwise a private :class:`LRUMemo` of that capacity.
     memo / executor:
         Explicit instances override the above (e.g. to share a memo
-        between engines while keeping private executors).
+        between engines while keeping private executors). The executor,
+        like *workers*, runs Monte-Carlo chunks only.
     """
 
     def __init__(
@@ -100,8 +86,6 @@ class ConfidenceEngine:
         domain: Optional[Iterable] = None,
         *,
         workers: int = 0,
-        mode: str = "process",
-        chunk_size: Optional[int] = None,
         cache_size: Optional[int] = None,
         memo: Optional[LRUMemo] = None,
         executor=None,
@@ -125,8 +109,8 @@ class ConfidenceEngine:
             self.memo = None
         else:
             self.memo = LRUMemo(cache_size)
-        self.executor = executor if executor is not None else make_executor(
-            workers, mode=mode, chunk_size=chunk_size
+        self.executor = (
+            executor if executor is not None else make_executor(workers)
         )
         self.stats = EngineStats(
             executor=self.executor.name, workers=self.executor.workers
@@ -137,10 +121,10 @@ class ConfidenceEngine:
     def _sweep(
         self, tasks: Sequence[Tuple[Tuple[int, ...], Tuple[int, ...]]]
     ) -> List[kernel.Solution]:
-        """Run ``(wire, track)`` sweeps through the executor."""
+        """Run ``(wire, track)`` sweeps in-process, in order."""
         self.stats.tasks_dispatched += len(tasks)
         with self.stats.time("count"):
-            solutions = self.executor.map(_solve_task, tasks)
+            solutions = [kernel.solve_wire(wire, track) for wire, track in tasks]
         self.stats.dp_states += sum(s.dp_states for s in solutions)
         return solutions
 

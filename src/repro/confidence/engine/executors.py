@@ -1,17 +1,17 @@
-"""Pluggable task executors: serial, process pool, and chunked batches.
+"""Task executors: serial, and one process pool.
 
-An executor is anything with an ordered ``map(fn, items)`` — the engine is
+An executor is anything with an ordered ``map(fn, items)`` — the caller is
 indifferent to *where* tasks run, which is what makes serial-vs-parallel
 equivalence testable: the task list and the aggregation order are fixed
 before the executor sees them, so every executor returns the same results
 in the same order, only the wall clock differs.
 
 * :class:`SerialExecutor` — in-process, zero overhead, the reference.
-* :class:`ProcessExecutor` — a ``multiprocessing.Pool``; one task per IPC
-  round-trip, best for few heavy tasks (exact block counts).
-* :class:`ChunkedExecutor` — groups tasks into per-worker batches before
-  dispatch, amortizing pickling/IPC over many light tasks (Monte-Carlo
-  sample chunks, many small blocks).
+* :class:`ProcessExecutor` — a ``multiprocessing.Pool``, one task per IPC
+  round-trip. Its two callers hand it few heavy tasks: Monte-Carlo sample
+  chunks (:meth:`~repro.confidence.engine.ConfidenceEngine.estimate_confidences`)
+  and independent source groups
+  (:func:`~repro.consistency.parallel.check_consistency_parallel`).
 
 ``ProcessExecutor`` degrades to serial execution (recording
 ``degraded=True``) when worker processes cannot be created — sandboxes,
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-from typing import Callable, List, Optional, Sequence, TypeVar
+from typing import Callable, List, Sequence, TypeVar
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -60,27 +60,23 @@ class SerialExecutor:
 class ProcessExecutor:
     """A lazily created ``multiprocessing.Pool``; one task per dispatch.
 
-    *fn* and every item must be picklable (the engine's tasks are plain
-    tuples of plain data, so they are). The pool persists across ``map``
-    calls until :meth:`close`.
+    *fn* and every item must be picklable. The pool persists across
+    ``map`` calls until :meth:`close`.
     """
 
     name = "process"
 
-    def __init__(self, workers: int, start_method: Optional[str] = None):
+    def __init__(self, workers: int):
         if workers < 2:
             raise ValueError("ProcessExecutor needs at least 2 workers")
         self.workers = workers
-        self._start_method = start_method
         self._pool = None
         self.degraded = False
-        self.respawns = 0
 
     def _ensure_pool(self):
         if self._pool is None and not self.degraded:
             try:
-                context = multiprocessing.get_context(self._start_method)
-                self._pool = context.Pool(self.workers)
+                self._pool = multiprocessing.get_context().Pool(self.workers)
             except (OSError, ValueError):
                 # No permission to spawn processes here: stay correct,
                 # lose the parallelism.
@@ -96,24 +92,6 @@ class ProcessExecutor:
             return [fn(item) for item in items]
         return pool.map(fn, items, chunksize=1)
 
-    def respawn(self) -> None:
-        """Discard a (broken) pool; the next ``map`` builds a fresh one.
-
-        ``terminate`` rather than ``close``: a pool whose workers died
-        mid-task never drains cleanly, and ``close``/``join`` would hang
-        on it. Clears ``degraded`` too — a broken pool says nothing about
-        whether a *new* one can be spawned.
-        """
-        if self._pool is not None:
-            try:
-                self._pool.terminate()
-                self._pool.join()
-            except Exception:
-                pass  # a half-dead pool may fail its own teardown
-            self._pool = None
-        self.degraded = False
-        self.respawns += 1
-
     def close(self) -> None:
         if self._pool is not None:
             self._pool.close()
@@ -127,56 +105,8 @@ class ProcessExecutor:
         self.close()
 
 
-def _run_chunk(payload):
-    fn, chunk = payload
-    return [fn(item) for item in chunk]
-
-
-class ChunkedExecutor(ProcessExecutor):
-    """A process pool fed per-worker batches instead of single tasks."""
-
-    name = "chunked"
-
-    def __init__(
-        self,
-        workers: int,
-        chunk_size: Optional[int] = None,
-        start_method: Optional[str] = None,
-    ):
-        super().__init__(workers, start_method=start_method)
-        self.chunk_size = chunk_size
-
-    def map(self, fn: Callable[[T], R], items: Sequence[T]) -> List[R]:
-        items = list(items)
-        if not items:
-            return []
-        pool = self._ensure_pool()
-        if pool is None:
-            return [fn(item) for item in items]
-        size = self.chunk_size
-        if size is None:
-            size = max(1, (len(items) + self.workers - 1) // self.workers)
-        chunks = [items[i : i + size] for i in range(0, len(items), size)]
-        results: List[R] = []
-        for chunk_result in pool.map(
-            _run_chunk, [(fn, chunk) for chunk in chunks], chunksize=1
-        ):
-            results.extend(chunk_result)
-        return results
-
-
-def make_executor(
-    workers: int = 0,
-    mode: str = "process",
-    chunk_size: Optional[int] = None,
-):
-    """Executor factory: ``workers <= 1`` is serial regardless of *mode*."""
+def make_executor(workers: int):
+    """Executor factory: ``workers <= 1`` is serial, else a process pool."""
     if workers <= 1:
         return SerialExecutor()
-    if mode == "process":
-        return ProcessExecutor(workers)
-    if mode == "chunked":
-        return ChunkedExecutor(workers, chunk_size=chunk_size)
-    if mode == "serial":
-        return SerialExecutor()
-    raise ValueError(f"unknown executor mode {mode!r}")
+    return ProcessExecutor(workers)

@@ -8,7 +8,7 @@ sets. Consequently S is consistent iff every component is, and a witness
 for S is the union of per-component witnesses.
 
 Each component's decision is an independent task — the same shape as the
-confidence engine's counting tasks — so this module reuses the engine's
+confidence engine's Monte-Carlo chunks — so this module reuses the engine's
 executors (:mod:`repro.confidence.engine.executors`) to run the component
 checks across worker processes. The merge is deterministic: components are
 ordered by their smallest source name, results are combined in that order.

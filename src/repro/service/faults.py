@@ -64,7 +64,6 @@ class FaultPolicy:
     latency: float = 0.0
     error_rate: float = 0.0
     error_burst: Optional[int] = None
-    seed: int = 0
     crash: bool = False
     partition: bool = False
 

@@ -85,14 +85,11 @@ class SchedulerConfig:
     max_queue: int = 256
     max_batch: int = 16
     batch_window: float = 0.002
-    engine_workers: int = 0
     #: memo capacity per engine when the scheduler has no explicit memo
     #: (None = process-wide shared memo, 0 = memoization off — E16's ablation)
     engine_cache_size: Optional[int] = None
     #: shards for the query path's certain database (1 = single store)
     shards: int = 1
-    #: worker processes for scatter-gather fragments (0/1 = serial)
-    shard_workers: int = 0
     #: the per-source availability pass: timeouts, retries, breakers
     resilience: ResilienceConfig = ResilienceConfig()
 
@@ -136,7 +133,6 @@ class SnapshotContext:
         self.snapshot = snapshot
         self.engine = ConfidenceEngine(
             snapshot.instance(),
-            workers=config.engine_workers,
             memo=memo,
             cache_size=config.engine_cache_size,
         )
@@ -166,9 +162,7 @@ class SnapshotContext:
             store = ShardedDatabase(
                 self.certain_database(), PartitionSpec(self._config.shards)
             )
-            self.executor = ShardExecutor(
-                store, workers=self._config.shard_workers
-            )
+            self.executor = ShardExecutor(store)
         return self.executor
 
     def derived_tags(self) -> set:
@@ -179,12 +173,6 @@ class SnapshotContext:
         if self.executor is not None:
             tags.update(self.executor.sharded.built_fragments())
         return tags
-
-    def close(self) -> None:
-        """Release the engine's and the executor's worker processes."""
-        self.engine.close()
-        if self.executor is not None:
-            self.executor.close()
 
 
 class RequestScheduler:
@@ -261,8 +249,6 @@ class RequestScheduler:
                     snapshot_version=request.snapshot_version,
                 ),
             )
-        for context in self._contexts.values():
-            context.close()
         self._contexts.clear()
 
     # -- admission ---------------------------------------------------------------
@@ -565,9 +551,6 @@ class RequestScheduler:
             "queries",
             "fragments_executed",
             "shards_pruned",
-            "worker_misses",
-            "pool_respawns",
-            "pool_serial_fallbacks",
         ):
             delta = (after.get(name) or 0) - (before.get(name) or 0)
             if delta:
@@ -601,7 +584,7 @@ class RequestScheduler:
         """The open context of (*snapshot*'s version, *excluded*).
 
         At most :data:`MAX_CONTEXTS` stay open; past that the oldest
-        (lowest version first) is closed — never the one just opened.
+        (lowest version first) is dropped — never the one just opened.
         """
         key = (snapshot.version, excluded)
         context = self._contexts.get(key)
@@ -612,16 +595,16 @@ class RequestScheduler:
                 oldest = min(self._contexts, key=_context_key_order)
                 if oldest == key:
                     break
-                self._contexts.pop(oldest).close()
+                del self._contexts[oldest]
         return context
 
     def retire_version_tags(self, before_version: int) -> set:
-        """Close the contexts of versions before *before_version*; return tags.
+        """Drop the contexts of versions before *before_version*; return tags.
 
         Superseded versions will never serve another request, so their
-        contexts — engine, certain database, shard executor — are closed
+        contexts — engine, certain database, shard executor — are dropped
         here. The *derived artifacts* they seeded (statistics, data
-        sources, partition layouts, fragment tokens) live in the enrolled
+        sources, partition layouts) live in the enrolled
         caches, keyed or tagged by fact set. The returned tag set — each
         retired certain core plus every fragment a retired sharded store
         materialized — is what the invalidation bus needs to clear all of
@@ -635,7 +618,6 @@ class RequestScheduler:
             context = self._contexts.pop(key)
             tags |= context.derived_tags()
             stores += context.executor is not None
-            context.close()
         if stores:
             self.metrics.counter("shard_stores_discarded").inc(stores)
         return tags

@@ -144,7 +144,7 @@ class MediatorService:
         every per-version store the scheduler gave up — pushed through one
         ``invalidate_tags`` call retires every derived artifact of the old
         version across every enrolled cache (memo, statistics, data
-        sources, partitions, fragment tokens). A private (un-enrolled)
+        sources, partitions). A private (un-enrolled)
         memo handed to the service is invalidated directly with the same
         keys, so its behavior matches the shared one.
         """
@@ -178,7 +178,7 @@ class MediatorService:
 
             {"registry": {...}, "metrics": {counters, gauges, histograms},
              "gateway": {reads, lanes}, "tracing": {...},
-             "plan": {cache, data_sources}, "shard": {shards, workers, counters},
+             "plan": {cache, data_sources}, "shard": {shards, counters},
              "cache": {budget_bytes, bytes, hits, misses, evictions,
                        invalidations, caches: {name: {...}}},
              "resilience": {sources, transitions, config}}
@@ -206,7 +206,6 @@ class MediatorService:
             "plan": plan_stats(),
             "shard": {
                 "shards": self.scheduler.config.shards,
-                "workers": self.scheduler.config.shard_workers,
                 "counters": shard_stats(),
             },
             "cache": cache_registry().stats(),

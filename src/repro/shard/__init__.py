@@ -9,8 +9,8 @@ touch — pruning all but one shard when a pushed-down constant fixes the
 partition key, choosing broadcast vs repartition for joins from the
 statistics catalog's cardinalities — and the :class:`ShardExecutor`
 (:mod:`repro.shard.executor`) scatters compiled-plan execution across the
-fragments, serially or over PR 1's process pool, merging answers in one
-canonical total order (:mod:`repro.shard.merge`).
+fragments in-process, merging answers in one canonical total order
+(:mod:`repro.shard.merge`).
 
 The paper's per-source guarantee structure is what justifies the layer:
 completeness and soundness metadata attach to *parts* of the data, so
@@ -25,12 +25,10 @@ partition keys, and shard counts including one.
 
 from repro.shard.executor import (
     ShardExecutor,
-    clear_worker_stores,
     evaluate_fragment,
     evaluate_sharded,
     reset_shard_stats,
     shard_stats,
-    worker_store_count,
 )
 from repro.shard.merge import (
     canonical_answer_key,
@@ -59,7 +57,6 @@ __all__ = [
     "canonical_answer_key",
     "canonical_order",
     "clear_partitions",
-    "clear_worker_stores",
     "evaluate_fragment",
     "evaluate_sharded",
     "explain_shards",
@@ -70,5 +67,4 @@ __all__ = [
     "reset_shard_stats",
     "shard_stats",
     "stable_bucket",
-    "worker_store_count",
 ]

@@ -9,8 +9,8 @@ The bucket hash is :func:`stable_bucket`, built on ``blake2b`` over the
 value's ``(type name, repr)`` pair — the same vocabulary as
 :func:`repro.model.terms.term_sort_key`. Python's builtin ``hash`` is
 deliberately avoided: it is salted per process (``PYTHONHASHSEED``), and a
-shard assignment must agree between the coordinator, its worker processes,
-and any future run that reads a persisted layout. Interned IDs are avoided
+shard assignment must agree between runs, including any future run that
+reads a persisted layout. Interned IDs are avoided
 for the same reason — they are process-local
 (:mod:`repro.core.symbols`), while values survive the trip.
 """

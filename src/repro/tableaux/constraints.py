@@ -38,11 +38,25 @@ class Constraint:
         self.label = label
 
     def satisfied_by(self, database: GlobalDatabase) -> bool:
-        """Every embedding of U into D is compatible with some θ ∈ Θ."""
-        for valuation in self.tableau.embeddings(database):
-            if not any(compatible(valuation, theta) for theta in self.substitutions):
-                return False
-        return True
+        """Every embedding of U into D is compatible with some θ ∈ Θ.
+
+        The search abandons a partial embedding as soon as it is compatible
+        with some θ. An embedding maps variables to constants and leaves an
+        unbound variable as itself, which no constant equals, so a partial
+        embedding compatible with θ already binds θ's variables; since
+        :func:`compatible` reads only those, every completion stays
+        compatible. What the search still yields is a violation. For a
+        cardinality constraint C^U(S_i) — m+1 copies of the view body —
+        only embeddings with pairwise-distinct rows are visited, not all
+        |D|^(m+1). :meth:`violating_embeddings` keeps the exhaustive search
+        as the literal definition.
+        """
+
+        def settled(partial: Substitution) -> bool:
+            return any(compatible(partial, theta) for theta in self.substitutions)
+
+        violations = self.tableau.embeddings(database, prune=settled)
+        return next(violations, None) is None
 
     def violating_embeddings(self, database: GlobalDatabase) -> Iterator[Substitution]:
         """Embeddings incompatible with every θ (for diagnostics/tests)."""

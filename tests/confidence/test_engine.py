@@ -1,4 +1,4 @@
-"""ConfidenceEngine: executor equivalence, caching modes, stats, fallback."""
+"""ConfidenceEngine: executor contract, caching modes, stats, fallback."""
 
 from fractions import Fraction
 
@@ -15,7 +15,6 @@ from repro.confidence import (
     covered_fact_confidences,
 )
 from repro.confidence.engine import (
-    ChunkedExecutor,
     LRUMemo,
     ProcessExecutor,
     SerialExecutor,
@@ -64,14 +63,6 @@ def test_parallel_engine_matches_serial_exactly():
     reference = serial_reference()
     with ConfidenceEngine(
         example51(), DOMAIN, workers=2, cache_size=0
-    ) as engine:
-        assert engine.confidences() == reference
-
-
-def test_chunked_engine_matches_serial_exactly():
-    reference = serial_reference()
-    with ConfidenceEngine(
-        example51(), DOMAIN, workers=2, mode="chunked", cache_size=0
     ) as engine:
         assert engine.confidences() == reference
 
@@ -126,6 +117,38 @@ class RecordingExecutor(SerialExecutor):
         return super().map(fn, items)
 
 
+def test_executor_runs_montecarlo_chunks_only():
+    """Exact counting never reaches the executor; each Monte-Carlo chunk
+    is one task."""
+    executor = RecordingExecutor()
+    with ConfidenceEngine(
+        example51(), DOMAIN, executor=executor, cache_size=0
+    ) as engine:
+        engine.confidences()
+        engine.confidence(fact("R", "a"))
+        engine.joint_confidence([fact("R", "a"), fact("R", "c")])
+        engine.count_worlds()
+        assert engine.stats.tasks_dispatched > 0
+        assert executor.tasks == []
+        engine.estimate_confidences(
+            [fact("R", "b")], samples=250, seed=1, samples_per_chunk=100
+        )
+    assert len(executor.tasks) == 3
+
+
+def record_sweeps(monkeypatch):
+    """Record every ``(wire, track)`` the engine hands the kernel."""
+    sweeps = []
+    solve_wire = kernel.solve_wire
+
+    def recording(wire, track=()):
+        sweeps.append((wire, track))
+        return solve_wire(wire, track)
+
+    monkeypatch.setattr(kernel, "solve_wire", recording)
+    return sweeps
+
+
 def asymmetric_example51() -> SourceCollection:
     """Example 5.1 with S2 fully sound: no two blocks share a memo key."""
     collection = example51()
@@ -137,20 +160,22 @@ def asymmetric_example51() -> SourceCollection:
     )
 
 
-def test_confidences_is_one_sweep_tracking_every_block():
-    executor = RecordingExecutor()
+def test_confidences_is_one_sweep_tracking_every_block(monkeypatch):
+    sweeps = record_sweeps(monkeypatch)
     with ConfidenceEngine(
-        asymmetric_example51(), DOMAIN, executor=executor, cache_size=0
+        asymmetric_example51(), DOMAIN, cache_size=0
     ) as engine:
         engine.confidences()
         assert engine.stats.tasks_submitted == 1 + len(engine.instance.blocks)
         assert engine.stats.tasks_dispatched == 1
-    [(_wire, track)] = executor.tasks
+    [(_wire, track)] = sweeps
     assert track == tuple(range(len(engine.instance.blocks)))
 
 
 @pytest.mark.parametrize("missed_blocks", [(), (1,), (0, 2)])
-def test_partial_memo_hit_sweeps_once_for_the_missed_keys(missed_blocks):
+def test_partial_memo_hit_sweeps_once_for_the_missed_keys(
+    missed_blocks, monkeypatch
+):
     """Denominator key discarded, block keys cached except *missed_blocks*."""
     collection = asymmetric_example51()
     memo = LRUMemo(64)
@@ -167,15 +192,13 @@ def test_partial_memo_hit_sweeps_once_for_the_missed_keys(missed_blocks):
     for j in missed_blocks:
         assert memo.discard(block_keys[j])
 
-    executor = RecordingExecutor()
-    with ConfidenceEngine(
-        collection, DOMAIN, memo=memo, executor=executor
-    ) as engine:
+    sweeps = record_sweeps(monkeypatch)
+    with ConfidenceEngine(collection, DOMAIN, memo=memo) as engine:
         assert engine.confidences() == expected
         assert engine.stats.tasks_submitted == 1 + spec.n_blocks
         assert engine.stats.tasks_memoized == spec.n_blocks - len(missed_blocks)
         assert engine.stats.tasks_dispatched == 1
-    [(_wire, track)] = executor.tasks
+    [(_wire, track)] = sweeps
     assert track == missed_blocks
     assert memo.peek(canonical_key(denominator)) == kernel.solve(denominator)[0]
     for j in missed_blocks:
@@ -204,7 +227,7 @@ def test_montecarlo_estimates_are_executor_independent():
             facts, samples=500, seed=3, samples_per_chunk=100
         )
     with ConfidenceEngine(
-        example51(), DOMAIN, workers=2, mode="chunked", cache_size=0
+        example51(), DOMAIN, workers=2, cache_size=0
     ) as engine:
         parallel = engine.estimate_confidences(
             facts, samples=500, seed=3, samples_per_chunk=100
@@ -218,21 +241,23 @@ def test_degraded_fallback_stays_correct(monkeypatch):
     def refuse(method=None):
         raise OSError("no processes in this sandbox")
 
+    facts = [fact("R", "a"), fact("R", "b"), fact("R", "d1")]
+    kwargs = dict(samples=500, seed=3, samples_per_chunk=100)
+    with ConfidenceEngine(example51(), DOMAIN, cache_size=0) as engine:
+        serial = engine.estimate_confidences(facts, **kwargs)
     executor = ProcessExecutor(workers=2)
     monkeypatch.setattr(multiprocessing, "get_context", refuse)
-    with ConfidenceEngine(example51(), DOMAIN, executor=executor) as engine:
-        assert engine.confidences() == serial_reference()
+    with ConfidenceEngine(
+        example51(), DOMAIN, executor=executor, cache_size=0
+    ) as engine:
+        assert engine.estimate_confidences(facts, **kwargs) == serial
         assert executor.degraded
 
 
 def test_make_executor_selects_by_workers_and_mode():
     assert isinstance(make_executor(0), SerialExecutor)
-    assert isinstance(make_executor(1, mode="chunked"), SerialExecutor)
-    process = make_executor(4)
-    assert isinstance(process, ProcessExecutor)
-    assert not isinstance(process, ChunkedExecutor)
-    assert isinstance(make_executor(4, mode="chunked"), ChunkedExecutor)
-    assert isinstance(make_executor(4, mode="serial"), SerialExecutor)
+    assert isinstance(make_executor(1), SerialExecutor)
+    assert isinstance(make_executor(4), ProcessExecutor)
 
 
 def test_non_identity_views_are_rejected():

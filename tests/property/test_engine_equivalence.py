@@ -1,9 +1,8 @@
-"""Property tests: the engine is executor-independent.
+"""Property tests: Monte-Carlo estimates are executor-independent.
 
-Serial and multi-process engines must return *identical* exact fractions,
-and Monte-Carlo estimates under a fixed seed must be bit-identical floats.
-One worker pool is shared across examples (pool start-up dwarfs the tiny
-instances hypothesis draws).
+Under a fixed seed, serial and multi-process engines must return
+bit-identical floats. One worker pool is shared across examples (pool
+start-up dwarfs the tiny instances hypothesis draws).
 """
 
 import atexit
@@ -13,14 +12,13 @@ from hypothesis import strategies as st
 
 from repro.model import fact
 from repro.confidence import ConfidenceEngine
-from repro.confidence.engine import ChunkedExecutor
-from repro.exceptions import InconsistentCollectionError
+from repro.confidence.engine import ProcessExecutor
 
 from tests.property.strategies import VALUES, identity_collections
 
 DOMAIN = VALUES
 
-_POOL = ChunkedExecutor(workers=2)
+_POOL = ProcessExecutor(2)
 atexit.register(_POOL.close)
 
 
@@ -29,20 +27,9 @@ def serial_engine(collection):
 
 
 def parallel_engine(collection):
-    # cache_size=0 so no memo can mask a divergence between executors.
     return ConfidenceEngine(
         collection, DOMAIN, cache_size=0, executor=_POOL
     )
-
-
-@given(identity_collections())
-@settings(max_examples=25, deadline=None)
-def test_parallel_exact_confidences_identical(collection):
-    try:
-        expected = serial_engine(collection).confidences()
-    except InconsistentCollectionError:
-        assume(False)
-    assert parallel_engine(collection).confidences() == expected
 
 
 @given(identity_collections(), st.integers(min_value=0, max_value=2**32))

@@ -2,7 +2,7 @@
 
 Before the cache runtime, a registry mutation fanned out to three separate
 invalidation call-sites: memo keys, statistics and shard stores each had
-their own, and partitions and fragment tokens had none. These tests pin
+their own, and partitions had none. These tests pin
 the unified contract: a
 single mutation produces one tag set (:func:`invalidation_tags` plus
 :meth:`retire_version_tags`) and one ``CacheRegistry.invalidate_tags``
@@ -21,7 +21,6 @@ from repro.plan.statistics import cached_statistics
 from repro.queries import identity_view, parse_rule
 from repro.service import MediatorService, RequestStatus, SchedulerConfig
 from repro.service.registry import invalidation_tags
-from repro.shard.executor import _FRAGMENT_TOKENS, _token_entry
 from repro.shard.partition import _PARTITIONS
 from repro.sources import SourceDescriptor
 
@@ -65,15 +64,9 @@ class TestSingleDiffClearsEverything:
                 fragments = executor.sharded.built_fragments()
                 partition_key = (executor.sharded.union_core(),
                                  executor.sharded.spec)
-                # Serial execution never mints tokens; mint them here the
-                # way the process path would, so the bus has work to do.
-                for f in fragments:
-                    _token_entry(f)
                 # The warm state this test is about: every layer primed.
                 assert cached_statistics(core) is not None
-                assert fragments and all(
-                    f in _FRAGMENT_TOKENS for f in fragments
-                )
+                assert fragments
                 assert _PARTITIONS.peek(partition_key) is not None
                 before_invalidations = registry.stats()["invalidations"]
 
@@ -99,7 +92,6 @@ class TestSingleDiffClearsEverything:
         assert not any(key in shared_memo() for key in memo_tags)
         # Fact-set-derived entries for the retired certain core: gone.
         assert cached_statistics(core) is None
-        assert not any(f in _FRAGMENT_TOKENS for f in fragments)
         for f in fragments:
             assert cached_statistics(f) is None
         # Partition layouts tagged with the retired cores: gone.

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from repro.model import fact
+from repro.queries import parse_rule
 from repro.resilience import ResilienceConfig, demote
 from repro.service import (
     FaultPolicy,
@@ -24,6 +25,7 @@ from tests.conftest import make_example51_collection
 
 DOMAIN = ["a", "b", "c", "d"]
 R_A, R_B, R_C = fact("R", "a"), fact("R", "b"), fact("R", "c")
+QUERY = parse_rule("ans(x) <- R(x)")
 
 
 def make_scheduler(config=None, policy=None, registry=None):
@@ -317,18 +319,18 @@ class TestConfigValidation:
 
 class TestSnapshotContexts:
     def test_superseded_versions_leave_no_open_pools(self):
-        """Each update retires the old version's context, engine pool
-        included: at most one pool's workers are ever alive."""
-        workers = 2
+        """Each update retires the old version's context, and no context
+        (engine or shard executor) ever starts a worker process."""
         live = []
 
         async def scenario():
             async with MediatorService(
                 make_example51_collection(), DOMAIN,
-                config=SchedulerConfig(engine_workers=workers),
+                config=SchedulerConfig(shards=2),
             ) as service:
                 for _ in range(6):
                     assert (await service.confidence([R_A, R_B])).ok
+                    assert (await service.answer(QUERY)).ok
                     source = service.registry.snapshot().collection.by_name("S2")
                     service.update_source(source.with_bounds(
                         soundness_bound=source.soundness_bound
@@ -338,7 +340,7 @@ class TestSnapshotContexts:
 
         baseline = len(multiprocessing.active_children())
         contexts = run(scenario())
-        assert max(live) - baseline <= workers
+        assert max(live) <= baseline
         assert contexts == {}
         assert len(multiprocessing.active_children()) == baseline
 

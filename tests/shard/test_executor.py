@@ -1,8 +1,7 @@
-"""Scatter-gather execution: equivalence, process path, counters."""
+"""Scatter-gather execution: equivalence and counters."""
 
 import pytest
 
-from repro.confidence.engine.executors import make_executor
 from repro.model import GlobalDatabase, fact
 from repro.plan import evaluate as plan_evaluate
 from repro.queries import parse_rule
@@ -15,7 +14,6 @@ from repro.shard import (
     reset_shard_stats,
     shard_stats,
 )
-from repro.shard.executor import _portable_query, clear_worker_stores
 
 QUERIES = [
     "V(x, y) <- E(x, y)",          # scatter
@@ -24,7 +22,7 @@ QUERIES = [
     "V(x, z) <- E(x, y), F(z, w)", # broadcast
     "V(x) <- E(x, x)",             # scatter, self-loop filter
     "V() <- E(1, 2)",              # pruned, boolean
-    "V(x, y) <- E(x, y), Lt(x, y)",  # builtin: serial-only path
+    "V(x, y) <- E(x, y), Lt(x, y)",  # builtin
 ]
 
 
@@ -35,8 +33,8 @@ def make_db():
     )
 
 
-def executor_for(db, n, **kw):
-    return ShardExecutor(ShardedDatabase(db, PartitionSpec(n)), **kw)
+def executor_for(db, n):
+    return ShardExecutor(ShardedDatabase(db, PartitionSpec(n)))
 
 
 class TestEquivalence:
@@ -86,68 +84,3 @@ class TestCounters:
         ex.answer(parse_rule("V(x, y) <- E(x, y)"))
         stats = ex.stats()
         assert stats["layout"]["base_built"] == 2
-        assert stats["workers"] == 0
-
-
-class TestPortability:
-    def test_plain_cq_is_portable(self):
-        assert _portable_query(parse_rule("V(x, z) <- E(x, y), E(y, z)"))
-
-    def test_builtin_query_is_not(self):
-        assert not _portable_query(parse_rule("V(x) <- E(x, y), Lt(x, y)"))
-
-    def test_algebra_query_is_not(self):
-        from repro.algebra import cq_to_algebra
-
-        assert not _portable_query(
-            cq_to_algebra(parse_rule("V(x) <- E(x, y)"))
-        )
-
-
-class TestProcessPath:
-    def test_process_equivalence_and_warm_reuse(self):
-        reset_shard_stats()
-        clear_worker_stores()
-        db = make_db()
-        with executor_for(db, 4, workers=2) as ex:
-            for rule in QUERIES:
-                query = parse_rule(rule)
-                assert ex.answer(query) == plan_evaluate(query, db)
-            # warm pass: same fragments, tokens already sent
-            before = dict(ex.counters)
-            for rule in QUERIES:
-                query = parse_rule(rule)
-                assert ex.answer(query) == plan_evaluate(query, db)
-            after = ex.counters
-            # the builtin query never takes the process path
-            assert before.get("strategy_scatter", 0) >= 1
-            if not getattr(ex._pool, "degraded", False):
-                assert after["process_queries"] > 0
-
-    def test_shared_pool_outlives_executors(self):
-        db = make_db()
-        query = parse_rule("V(x, y) <- E(x, y)")
-        pool = make_executor(2, mode="process")
-        try:
-            with executor_for(db, 3, workers=2, pool=pool) as first:
-                assert first.answer(query) == plan_evaluate(query, db)
-            # closing a borrowing executor must not close the shared pool:
-            # a second executor keeps answering through it, reusing the
-            # sent-token bookkeeping that rides on the pool object. (Misses
-            # may still occur — map() is free to hand a fragment to a
-            # worker that has not cached it — and the resend path absorbs
-            # them, so only correctness is asserted here.)
-            sent = getattr(pool, "shard_sent_tokens", set())
-            with executor_for(db, 3, workers=2, pool=pool) as second:
-                assert second.answer(query) == plan_evaluate(query, db)
-                if not getattr(pool, "degraded", False):
-                    assert getattr(pool, "shard_sent_tokens") >= sent
-        finally:
-            pool.close()
-
-    def test_builtin_query_falls_back_to_serial(self):
-        db = make_db()
-        query = parse_rule("V(x, y) <- E(x, y), Lt(x, y)")
-        with executor_for(db, 4, workers=2) as ex:
-            assert ex.answer(query) == plan_evaluate(query, db)
-            assert "process_queries" not in ex.counters

@@ -55,6 +55,23 @@ class TestIdentityCollections:
         )
         assert theorem41_holds(col, ["a", "b"])
 
+    def test_loose_completeness_bound_gives_a_nine_row_constraint(self):
+        # c = 1/4 over two sound facts: m = 8, so C^U(S1) is 9 copies of
+        # R(x) with 72 substitutions, and |D|^9 embeddings into a 4-fact
+        # world. The template side must still agree with poss(S) quickly.
+        col = SourceCollection(
+            [
+                SourceDescriptor(
+                    identity_view("V1", "R", 1),
+                    [fact("V1", "a"), fact("V1", "b")],
+                    "1/4",
+                    1,
+                    name="S1",
+                )
+            ]
+        )
+        assert theorem41_holds(col, ["a", "b", "c", "d"])
+
     def test_inconsistent_both_sides_empty(self):
         col = SourceCollection(
             [
