@@ -134,8 +134,9 @@ def test_e16_batching(benchmark, results_dir):
         rows,
         notes=[
             "speedup is against max_batch=1 within the same memo setting",
-            "one engine call serves a whole batch; the memo additionally "
-            "reuses counting tasks across calls",
+            "one engine call serves a whole batch; with the memo on, each "
+            "snapshot context keys and counts once and later batches read "
+            "its kept confidences",
         ],
     )
 

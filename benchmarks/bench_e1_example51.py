@@ -141,10 +141,10 @@ def test_e1_scaling_in_m(benchmark, results_dir):
 def test_e1_engine_memoization(benchmark, results_dir):
     """The memoized engine on Example 5.1 at m = 200 (E1c).
 
-    The first pass computes one counting task per signature block plus the
-    denominator; the second pass (same engine, warm memo) answers every
-    task from the cache. Alpha-equivalent blocks collide on one cache line,
-    so even the cold pass dispatches fewer sweeps than it submits tasks.
+    A ``confidences()`` call is one counting task: the first pass keys the
+    instance once and runs one sweep that tracks every signature block;
+    the second pass (a fresh engine on the warm memo) reads the count and
+    every block numerator from that one line without a sweep.
     """
     import time
 
@@ -183,7 +183,8 @@ def test_e1_engine_memoization(benchmark, results_dir):
         ["pass", "tasks", "memoized", "computed", "wall time", "cache hit rate"],
         rows,
         notes=[
-            "warm pass answers every counting task from the canonical-key "
-            "LRU memo without running a single DP sweep",
+            "warm pass answers the instance's one counting task (the "
+            "count and every block numerator) from the canonical-key LRU "
+            "memo without running a DP sweep",
         ],
     )

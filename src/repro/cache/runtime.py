@@ -20,8 +20,7 @@ module replaces all of them with two pieces:
   entries yields space to one serving hot, light ones, which no per-cache
   entry bound can do. It is also the **invalidation bus**:
   :meth:`CacheRegistry.invalidate_tags` retires, in one call, every entry
-  of every enrolled cache that derives from a retired world, snapshot, or
-  counting problem.
+  of every enrolled cache that derives from a retired world or snapshot.
 
 Recency is global: every hit or store draws a tick from one process-wide
 counter, so "least recent across all caches" is well-defined without any
@@ -32,9 +31,8 @@ cycles, property-hammered in ``tests/cache/test_runtime.py``.
 
 Invalidation matches an entry when the tag set it was stored with
 intersects the retired tags, **or when its key itself is among the tags**
-— content-addressed caches (the engine memo, whose canonical keys *are*
-the counting problems; the data-source and statistics caches, keyed by
-fact-set value) need no duplicate tag storage.
+— content-addressed caches (the data-source and statistics caches, keyed
+by fact-set value) need no duplicate tag storage.
 """
 
 from __future__ import annotations
@@ -386,22 +384,17 @@ class CacheRegistry:
     def __init__(self, budget_bytes: Optional[int] = None):
         self._lock = threading.Lock()
         self._caches: "OrderedDict[str, LRUMemo]" = OrderedDict()
-        self._id_sensitive: Dict[str, bool] = {}
         self._budget = budget_bytes
         self.budget_evictions = 0
         self.rollback_flushes = 0
 
     # -- enrollment --------------------------------------------------------------
 
-    def enroll(
-        self, memo: LRUMemo, *, id_sensitive: bool = True
-    ) -> LRUMemo:
+    def enroll(self, memo: LRUMemo) -> LRUMemo:
         """Put one named cache under the registry's budget and bus.
 
-        *id_sensitive* marks caches whose keys or values capture interned
-        symbol IDs (:mod:`repro.core.symbols`): a destructive symbol-table
-        rollback flushes them (IDs above the truncation point may have been
-        reused by then, which content-addressing cannot detect).
+        Every enrolled cache is flushed on a destructive symbol-table
+        rollback (see :meth:`on_symbol_rollback`).
         """
         if not memo.name:
             raise ValueError("an enrolled cache needs a name")
@@ -410,7 +403,6 @@ class CacheRegistry:
             if existing is not None and existing is not memo:
                 raise ValueError(f"cache {memo.name!r} is already enrolled")
             self._caches[memo.name] = memo
-            self._id_sensitive[memo.name] = id_sensitive
         memo._registry = self
         return memo
 
@@ -500,23 +492,22 @@ class CacheRegistry:
         return out
 
     def on_symbol_rollback(self, removed: int) -> None:
-        """Flush ID-sensitive caches after a destructive symbol rollback.
+        """Flush every enrolled cache after a destructive symbol rollback.
 
         Wired to :meth:`repro.core.symbols.SymbolTable.on_rollback` for the
-        global table. Rollbacks only happen on aborted registry mutations
+        global table. Enrolled caches key or hold interned symbol IDs (the
+        engine memo's keys carry interned completeness bounds), and IDs
+        above the truncation point may be reused, which content-addressing
+        cannot detect. Rollbacks only happen on aborted registry mutations
         (rare), so a flush — sound by construction — beats tracking which
         entries captured since-reused IDs.
         """
         if removed <= 0:
             return
         with self._lock:
-            sensitive = [
-                memo
-                for name, memo in self._caches.items()
-                if self._id_sensitive.get(name, True)
-            ]
+            caches = list(self._caches.values())
             self.rollback_flushes += 1
-        for memo in sensitive:
+        for memo in caches:
             flushed = len(memo)
             memo.clear()
             if flushed:

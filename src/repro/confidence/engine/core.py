@@ -2,12 +2,16 @@
 
 :class:`ConfidenceEngine` answers the same questions as
 :class:`~repro.confidence.blocks.BlockCounter` — exact confidences over an
-identity-view collection — but consults the memo first. Every counting
-question keeps its own canonical key (the denominator, and one numerator
-per signature block); the questions the memo misses are answered by one
-kernel sweep that tracks the missed blocks, and every count it returns is
-stored under its key. Counting runs in-process: one instance's confidences
-are one sweep, which no worker pool can split.
+identity-view collection — but consults the memo first. A
+``confidences()`` call is one counting question: the unforced problem is
+keyed once, and its memo line holds ``|poss(S)|`` with every signature
+block's numerator in the key's block order, which maps back to this
+instance's blocks (and to any alpha-equivalent instance's). A miss is one
+kernel sweep that tracks every block. Count-only questions
+(``count_worlds``, ``joint_confidence``) keep one key each. Counting runs
+in-process: one instance's confidences are one sweep, which no worker
+pool can split. An engine is bound to one immutable instance, so with a
+memo it keeps its ``confidences()`` result and hands out copies.
 
 Monte-Carlo estimation splits the sample budget into fixed-size chunks with
 per-chunk deterministic seeds, so the estimate is a pure function of
@@ -22,13 +26,18 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.exceptions import InconsistentCollectionError
 from repro.model.atoms import Atom
 from repro.confidence.engine import kernel
 from repro.confidence.engine.executors import make_executor
-from repro.confidence.engine.memo import LRUMemo, canonical_key, shared_memo
+from repro.confidence.engine.memo import (
+    CONFIDENCES,
+    LRUMemo,
+    canonical_key,
+    shared_memo,
+)
 from repro.confidence.engine.stats import EngineStats
 
 if TYPE_CHECKING:  # imported lazily at runtime (blocks.py imports the kernel)
@@ -72,8 +81,9 @@ class ConfidenceEngine:
         ``0``/``1`` = serial; ``>= 2`` = that many worker processes. They
         run Monte-Carlo chunks only; exact counting always runs in-process.
     cache_size:
-        ``None`` = share the process-wide memo; ``0`` = no memoization;
-        otherwise a private :class:`LRUMemo` of that capacity.
+        ``None`` = share the process-wide memo; ``0`` = no memoization
+        (every ``confidences()`` call counts again); otherwise a private
+        :class:`LRUMemo` of that capacity.
     memo / executor:
         Explicit instances override the above (e.g. to share a memo
         between engines while keeping private executors). The executor,
@@ -115,74 +125,67 @@ class ConfidenceEngine:
         self.stats = EngineStats(
             executor=self.executor.name, workers=self.executor.workers
         )
+        self._confidences: Optional[Dict[Atom, Fraction]] = None
 
     # -- exact counting ---------------------------------------------------------
 
     def _sweep(
-        self, tasks: Sequence[Tuple[Tuple[int, ...], Tuple[int, ...]]]
-    ) -> List[kernel.Solution]:
-        """Run ``(wire, track)`` sweeps in-process, in order."""
-        self.stats.tasks_dispatched += len(tasks)
+        self, problem: kernel.ReducedProblem, track: Tuple[int, ...]
+    ) -> kernel.Solution:
+        """Run one kernel sweep in-process."""
+        self.stats.tasks_dispatched += 1
+        wire = kernel.to_wire(problem)
         with self.stats.time("count"):
-            solutions = [kernel.solve_wire(wire, track) for wire, track in tasks]
-        self.stats.dp_states += sum(s.dp_states for s in solutions)
-        return solutions
+            solution = kernel.solve_wire(wire, track)
+        self.stats.dp_states += solution.dp_states
+        return solution
 
-    def _count_many(
-        self,
-        problems: Sequence[Optional[kernel.ReducedProblem]],
-        blocks: Optional[Sequence[Optional[int]]] = None,
-    ) -> List[int]:
-        """Counts for several reduced problems: memo, dedup, then dispatch.
+    def _memo_line(
+        self, problem: kernel.ReducedProblem, numerators: bool
+    ) -> Tuple[object, Tuple[int, ...]]:
+        """One counting question's memo line, swept on a miss.
 
-        Without *blocks*, each distinct missed problem is one sweep. With
-        *blocks*, ``problems[0]`` is the unforced problem and
-        ``problems[i]`` forces one fact of block ``blocks[i]`` in
-        (``blocks[0]`` is ``None``): every miss is then answered by one
-        sweep of ``problems[0]`` that tracks the missed blocks.
+        A count line is the world count of *problem*, under its canonical
+        key. With *numerators* the line is ``(count, numerators)``, one
+        numerator per block in the returned block order, under
+        ``(CONFIDENCES, key)``; its miss is one sweep tracking every block.
+        Returns the line and the block order.
         """
-        counts: List[int] = [0] * len(problems)
-        pending: Dict[object, List[int]] = {}
-        with self.stats.time("plan"):
-            for index, problem in enumerate(problems):
-                if problem is None:
-                    continue
-                self.stats.tasks_submitted += 1
-                key = canonical_key(problem) if self.memo is not None else problem
-                if self.memo is not None:
-                    hit, value = self.memo.lookup(key)
-                    if hit:
-                        self.stats.tasks_memoized += 1
-                        counts[index] = value
-                        continue
-                pending.setdefault(key, []).append(index)
+        self.stats.tasks_submitted += 1
+        memo = self.memo
+        key = None
+        if memo is None:
+            order = tuple(range(len(problem.sizes)))
+        else:
+            with self.stats.time("plan"):
+                key, order = canonical_key(problem)
+                if numerators:
+                    key = (CONFIDENCES, key)
+                hit, line = memo.lookup(key)
+            if hit:
+                self.stats.tasks_memoized += 1
+                self.stats.cache = memo.stats()
+                return line, order
+        solution = self._sweep(problem, order if numerators else ())
+        line = (
+            (solution.count, solution.containing) if numerators
+            else solution.count
+        )
+        if memo is not None:
+            memo.store(key, line)
+            self.stats.cache = memo.stats()
+        return line, order
 
-        if pending:
-            firsts = [indices[0] for indices in pending.values()]
-            if blocks is None:
-                solutions = self._sweep(
-                    [(kernel.to_wire(problems[i]), ()) for i in firsts]
-                )
-                found = [solution.count for solution in solutions]
-            else:
-                track = tuple(blocks[i] for i in firsts if blocks[i] is not None)
-                [solution] = self._sweep([(kernel.to_wire(problems[0]), track)])
-                by_block = dict(zip(track, solution.containing))
-                by_block[None] = solution.count
-                found = [by_block[blocks[i]] for i in firsts]
-            for (key, indices), count in zip(pending.items(), found):
-                if self.memo is not None:
-                    self.memo.store(key, count)
-                for index in indices:
-                    counts[index] = count
-
-        if self.memo is not None:
-            self.stats.cache = self.memo.stats()
-        return counts
+    def _count(self, problem: Optional[kernel.ReducedProblem]) -> int:
+        """World count of one reduced problem (``None``: infeasible, 0)."""
+        if problem is None:
+            return 0
+        count, _order = self._memo_line(problem, numerators=False)
+        return count
 
     def count_worlds(self) -> int:
         """``|poss(S)|`` over the finite fact space."""
-        count = self._count_many([kernel.reduce_spec(self.spec)])[0]
+        count = self._count(kernel.reduce_spec(self.spec))
         self.stats.worlds_counted = count
         return count
 
@@ -193,22 +196,22 @@ class ConfidenceEngine:
     def confidences(self) -> Dict[Atom, Fraction]:
         """Exact confidence of every covered fact (global form).
 
-        The denominator and one numerator per signature block are looked up
-        under their own keys; whatever misses is counted by one sweep of the
-        unforced problem that tracks the missed blocks (alpha-equivalent
-        blocks share a key, so one of them is tracked). Block-mates share
-        their block's count (facts in a block are interchangeable).
+        One memo line answers the whole call (see :meth:`_memo_line`).
+        Block-mates share their block's count (facts in a block are
+        interchangeable). With a memo, the result is kept: later calls
+        return a copy of it without keying, each counted as a memoized
+        question.
         """
+        if self._confidences is not None:
+            self.stats.tasks_submitted += 1
+            self.stats.tasks_memoized += 1
+            return dict(self._confidences)
         instance = self.instance
         with self.stats.time("decompose"):
-            blocks: List[Optional[int]] = [None]
-            blocks += [j for j, block in enumerate(instance.blocks) if block.facts]
-            problems = [kernel.reduce_spec(self.spec)]
-            problems += [
-                kernel.reduce_spec(self.spec, forced={j: 1}) for j in blocks[1:]
-            ]
-        counts = self._count_many(problems, blocks)
-        denominator = counts[0]
+            problem = kernel.reduce_spec(self.spec)
+        (denominator, numerators), order = self._memo_line(
+            problem, numerators=True
+        )
         self.stats.worlds_counted = denominator
         if denominator == 0:
             raise InconsistentCollectionError(
@@ -216,11 +219,13 @@ class ConfidenceEngine:
             )
         with self.stats.time("assemble"):
             out: Dict[Atom, Fraction] = {}
-            for j, numerator in zip(blocks[1:], counts[1:]):
+            for j, numerator in zip(order, numerators):
                 confidence = Fraction(numerator, denominator)
                 for f in instance.blocks[j].facts:
                     out[f] = confidence
-        return out
+        if self.memo is not None:
+            self._confidences = out
+        return dict(out)
 
     def confidence(self, fact: Atom) -> Fraction:
         """Exact confidence of one fact (covered or anonymous)."""
@@ -228,7 +233,8 @@ class ConfidenceEngine:
 
     def joint_confidence(self, facts: Iterable[Atom]) -> Fraction:
         """``Pr(all facts ∈ D | D ∈ poss(S))``: the denominator and one
-        forced-blocks problem, two count-only sweeps on a miss."""
+        forced-blocks problem, one key and one count-only sweep on a miss
+        each."""
         instance = self.instance
         with self.stats.time("decompose"):
             forced: Dict[Optional[int], int] = {}
@@ -239,17 +245,17 @@ class ConfidenceEngine:
                     break
                 j = instance.block_of(f)
                 forced[j] = forced.get(j, 0) + 1
-            problems: List[Optional[kernel.ReducedProblem]] = [
-                kernel.reduce_spec(self.spec),
-                kernel.reduce_spec(self.spec, forced=forced) if in_space else None,
-            ]
-        counts = self._count_many(problems)
-        self.stats.worlds_counted = counts[0]
-        if counts[0] == 0:
+            denominator_problem = kernel.reduce_spec(self.spec)
+            numerator_problem = (
+                kernel.reduce_spec(self.spec, forced=forced) if in_space else None
+            )
+        denominator = self._count(denominator_problem)
+        self.stats.worlds_counted = denominator
+        if denominator == 0:
             raise InconsistentCollectionError(
                 "collection admits no possible database over this domain"
             )
-        return Fraction(counts[1], counts[0])
+        return Fraction(self._count(numerator_problem), denominator)
 
     # -- Monte Carlo ------------------------------------------------------------
 

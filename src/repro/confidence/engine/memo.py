@@ -17,16 +17,24 @@ the same cache line. :func:`canonical_key` achieves this by canonicalizing a
   number of candidate orders and falls back to the (still deterministic,
   merely less collision-happy) profile order.
 
+The rendering also fixes an order of the problem's blocks (the canonical
+block order), which :func:`canonical_key` returns beside the key. A
+``confidences()`` call stores the world count and one numerator per block
+in that order under ``(CONFIDENCES, key)``, one line per instance, so an
+alpha-equivalent instance reads the numerators back through its own block
+order. Count-only questions store one world count under the bare key;
+the two namespaces never share a line.
+
 The cache itself is an :class:`~repro.cache.runtime.LRUMemo` from the
 unified cache runtime (``repro.cache``): thread-safe LRU with
-hit/miss/eviction counters, byte accounting, and tag invalidation. The
-shared instance is enrolled in the process-wide
-:class:`~repro.cache.runtime.CacheRegistry` as ``"engine.memo"``, so it
-participates in the global byte budget and the invalidation bus; since
-its canonical keys *are* the counting problems, the bus retires entries
-by key match without any duplicate tag storage. ``CacheStats``,
-``LRUMemo``, and ``DEFAULT_CACHE_SIZE`` are re-exported here for
-compatibility with pre-runtime imports.
+hit/miss/eviction counters and byte accounting. The shared instance is
+enrolled in the process-wide :class:`~repro.cache.runtime.CacheRegistry`
+as ``"engine.memo"``, so it participates in the global byte budget and is
+flushed on a symbol rollback (keys hold interned completeness IDs). Keys
+*are* the counting problems, so a line can never go stale: lines of a
+superseded registry version are reclaimed by LRU and the budget.
+``CacheStats``, ``LRUMemo``, and ``DEFAULT_CACHE_SIZE`` are re-exported
+here for compatibility with pre-runtime imports.
 """
 
 from __future__ import annotations
@@ -40,6 +48,7 @@ from repro.cache.runtime import DEFAULT_CACHE_SIZE, CacheStats, LRUMemo
 from repro.confidence.engine.kernel import ReducedProblem
 
 __all__ = [
+    "CONFIDENCES",
     "CacheStats",
     "DEFAULT_CACHE_SIZE",
     "LRUMemo",
@@ -52,20 +61,33 @@ __all__ = [
 #: Give up on exact tie-breaking beyond this many candidate source orders.
 MAX_CANONICAL_ORDERS = 720
 
+#: First element of a confidence line's key: ``(CONFIDENCES, key)``.
+CONFIDENCES = "confidences"
+
 
 def _memo_sizeof(key: object, value: object) -> int:
-    """Price one memo line: a nested int tuple key plus one big int.
+    """Price one memo line: a nested int tuple key plus its counts.
 
-    Canonical keys are small tuples of ints; the value is a world count
-    (possibly a very large int). A flat structural estimate beats the
-    generic sampler here because keys dominate and are uniform.
+    Canonical keys are small tuples of ints. A count line's value is one
+    world count (possibly a very large int); a confidence line's is the
+    count and a tuple of block numerators. A flat structural estimate
+    beats the generic sampler here because keys dominate and are uniform.
     """
+    counts: Tuple = (value,)
+    containers = 0
     try:
+        if key[0] == CONFIDENCES:  # type: ignore[index]
+            key = key[1]  # type: ignore[index]
+            count, numerators = value  # type: ignore[misc]
+            counts = (count, *numerators)
+            containers = sys.getsizeof(value) + sys.getsizeof(numerators)
         per_source, blocks, _, _ = key  # type: ignore[misc]
         width = len(per_source) * 3 + len(blocks) * 4
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, IndexError):
         width = 8
-    return 120 + 48 * width + sys.getsizeof(value)
+    return (
+        120 + 48 * width + containers + sum(sys.getsizeof(c) for c in counts)
+    )
 
 
 _SHARED = cache_registry().enroll(
@@ -106,8 +128,13 @@ def _profiles(problem: ReducedProblem, completeness: Sequence) -> List[Tuple]:
 
 def _render(
     problem: ReducedProblem, completeness: Sequence, order: Sequence[int]
-) -> Tuple:
-    """The key rendering under one source order (*order[new] = old*)."""
+) -> Tuple[Tuple, Tuple[int, ...]]:
+    """The key rendering under one source order (*order[new] = old*), and
+    the problem's block indices in the order the rendering lists them.
+
+    Signatures are distinct within a problem, so the block index never
+    decides the sort: it only rides along to give the block order.
+    """
     relabel = {old: new for new, old in enumerate(order)}
     per_source = tuple(
         (
@@ -117,21 +144,24 @@ def _render(
         )
         for old in order
     )
-    blocks = tuple(
-        sorted(
-            (tuple(sorted(relabel[i] for i in signature)), size)
-            for signature, size in zip(problem.signatures, problem.sizes)
+    ranked = sorted(
+        (tuple(sorted(relabel[i] for i in signature)), size, j)
+        for j, (signature, size) in enumerate(
+            zip(problem.signatures, problem.sizes)
         )
     )
-    return (
+    key = (
         per_source,
-        blocks,
+        tuple((signature, size) for signature, size, _ in ranked),
         problem.anonymous_size,
         problem.seed_total,
     )
+    return key, tuple(j for _, _, j in ranked)
 
 
-def _canonicalize(problem: ReducedProblem, completeness: Sequence) -> Tuple:
+def _canonicalize(
+    problem: ReducedProblem, completeness: Sequence
+) -> Tuple[Tuple, Tuple[int, ...]]:
     profiles = _profiles(problem, completeness)
     base_order = sorted(range(problem.n_sources), key=lambda i: profiles[i])
 
@@ -149,17 +179,18 @@ def _canonicalize(problem: ReducedProblem, completeness: Sequence) -> Tuple:
     if n_orders == 1:
         return _render(problem, completeness, base_order)
     candidates = product(*(permutations(group) for group in groups))
-    best: Optional[Tuple] = None
+    best: Optional[Tuple[Tuple, Tuple[int, ...]]] = None
     for arrangement in islice(candidates, MAX_CANONICAL_ORDERS):
         order = [i for group in arrangement for i in group]
         rendering = _render(problem, completeness, order)
-        if best is None or rendering < best:
+        if best is None or rendering[0] < best[0]:
             best = rendering
     return best
 
 
-def canonical_key(problem: ReducedProblem) -> Tuple:
-    """A hashable key identical across alpha-equivalent counting problems.
+def canonical_key(problem: ReducedProblem) -> Tuple[Tuple, Tuple[int, ...]]:
+    """A hashable key identical across alpha-equivalent counting problems,
+    and the problem's block indices in the key's block order.
 
     Every entry of the key is a plain int: completeness bounds are interned
     as constants in the process-wide symbol table (equal Fractions share an
@@ -168,6 +199,13 @@ def canonical_key(problem: ReducedProblem) -> Tuple:
     problems get equal int keys iff they get equal boxed keys (asserted
     property-based in ``tests/property/test_core_roundtrip.py``), so hit/miss
     behavior is identical.
+
+    Two problems with equal keys are related by a source relabelling that
+    maps the block at each position of one block order to the block at the
+    same position of the other, so per-block counts stored in one problem's
+    block order read back correctly through the other's. When several
+    source orders give the least rendering, they differ by a symmetry of
+    the problem, which maps blocks to blocks with equal counts.
     """
     from repro.core.symbols import global_table
 
@@ -180,4 +218,4 @@ def canonical_key_boxed(problem: ReducedProblem) -> Tuple:
     """The pre-interning key (Fractions compared by value), kept as the
     reference for the key-agreement property tests and the E17 benchmark.
     """
-    return _canonicalize(problem, problem.completeness)
+    return _canonicalize(problem, problem.completeness)[0]

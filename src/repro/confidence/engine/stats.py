@@ -30,12 +30,12 @@ class EngineStats:
 
     ``worlds_counted`` is the latest ``|poss(S)|`` denominator computed;
     ``tasks_submitted`` counts counting questions (a ``confidences()`` call
-    asks the denominator and one numerator per block), of which
-    ``tasks_memoized`` were answered by the cache; ``tasks_dispatched``
-    counts the kernel sweeps that actually ran (one answers every missed
-    question of a ``confidences()`` call); ``dp_states`` accumulates their
-    final-layer DP state counts (the size of the swept state space, the
-    engine's work measure).
+    is one, answered by one memo line), of which ``tasks_memoized`` were
+    answered without a sweep (by the memo, or by the result the engine
+    kept from an earlier ``confidences()`` call); ``tasks_dispatched``
+    counts the kernel sweeps that actually ran; ``dp_states`` accumulates
+    their final-layer DP state counts (the size of the swept state space,
+    the engine's work measure).
     """
 
     executor: str = "serial"

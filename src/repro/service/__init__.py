@@ -5,7 +5,7 @@ See ``docs/service.md`` for the architecture. Layering, bottom up:
 * :mod:`~repro.service.requests` — request/response vocabulary with
   explicit terminal statuses (OK / TIMEOUT / REJECTED / ERROR).
 * :mod:`~repro.service.registry` — versioned, copy-on-write source
-  registry; block-level diffs drive incremental memo invalidation.
+  registry; each mutation reports the signature blocks it touched.
 * :mod:`~repro.service.faults` — the source-read seam:
   :class:`PerSourceGateway` gives every source its own lane, seeded fault
   policy (latency, transient errors, crashes, partitions) and counters;
@@ -33,7 +33,6 @@ from repro.service.registry import (
     RegistrySnapshot,
     SourceRegistry,
     diff_snapshots,
-    invalidate,
 )
 from repro.service.requests import (
     ConfidenceRequest,
@@ -52,7 +51,6 @@ __all__ = [
     "RegistrySnapshot",
     "RegistryDiff",
     "diff_snapshots",
-    "invalidate",
     "ConfidenceRequest",
     "ServiceResponse",
     "RequestStatus",

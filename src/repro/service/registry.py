@@ -1,4 +1,4 @@
-"""Versioned source registry: copy-on-write snapshots + memo invalidation.
+"""Versioned source registry: copy-on-write snapshots and block diffs.
 
 The registry is the service's only mutable state. Every mutation —
 ``register``, ``update``, ``deregister``, ``set_domain`` — builds a brand-new
@@ -8,17 +8,14 @@ grabbed version *v* at admission keeps computing against *v* no matter what
 lands meanwhile. That is the snapshot-isolation guarantee the acceptance
 test exercises by registering a source mid-flight.
 
-Each mutation also yields a :class:`RegistryDiff` naming exactly which
-signature blocks of the *old* snapshot the change touched: blocks whose
-membership signature involves a changed source, or whose fact set gained or
-lost members. The engine's memo is content-addressed (a canonical key *is*
-the counting problem, so an entry can never become wrong), but entries whose
-block shape the change retired can never be hit again by this lineage;
-:func:`invalidate` recomputes precisely those keys from the old spec and
-discards them, keeping the shared LRU from silting up with dead blocks under
-a long-running churn of registrations. Untouched entries stay — alpha
-equivalence means a re-registration under a new name, a permutation of
-sources, or a renamed domain still hits them.
+Each mutation also yields a :class:`RegistryDiff` naming which signature
+blocks of the *old* snapshot the change touched: blocks whose membership
+signature involves a changed source, or whose fact set gained or lost
+members. The engine memo needs no invalidation from it: a memo key *is*
+the counting problem, so a line can never become wrong, and lines no
+version will ask for again are reclaimed by LRU and the byte budget —
+while a mutation that restores an earlier state, a re-registration under
+a new name, a permutation of sources, or a renamed domain still hits them.
 """
 
 from __future__ import annotations
@@ -31,19 +28,17 @@ from repro.model.atoms import Atom
 from repro.sources.collection import SourceCollection
 from repro.sources.descriptor import SourceDescriptor
 from repro.confidence.blocks import IdentityInstance
-from repro.confidence.engine import kernel
-from repro.confidence.engine.memo import LRUMemo, canonical_key
 
 
 class RegistrySnapshot:
-    """One immutable registry version: a collection, a domain, a spec.
+    """One immutable registry version: a collection and a domain.
 
-    The block decomposition (:class:`IdentityInstance` + ``CountingSpec``) is
-    built lazily on first use and cached — snapshots are cheap to mint and
-    only pay for analysis when a request actually computes against them.
+    The block decomposition (:class:`IdentityInstance`) is built lazily on
+    first use and cached — snapshots are cheap to mint and only pay for
+    analysis when a request actually computes against them.
     """
 
-    __slots__ = ("version", "collection", "domain", "_lock", "_instance", "_spec")
+    __slots__ = ("version", "collection", "domain", "_lock", "_instance")
 
     def __init__(
         self, version: int, collection: SourceCollection, domain: Sequence
@@ -53,7 +48,6 @@ class RegistrySnapshot:
         self.domain: Tuple = tuple(domain)
         self._lock = threading.Lock()
         self._instance: Optional[IdentityInstance] = None
-        self._spec: Optional[kernel.CountingSpec] = None
 
     def instance(self) -> IdentityInstance:
         """The snapshot's block decomposition (cached, thread-safe)."""
@@ -61,16 +55,6 @@ class RegistrySnapshot:
             if self._instance is None:
                 self._instance = IdentityInstance(self.collection, self.domain)
             return self._instance
-
-    def spec(self) -> kernel.CountingSpec:
-        with self._lock:
-            if self._spec is None:
-                if self._instance is None:
-                    self._instance = IdentityInstance(
-                        self.collection, self.domain
-                    )
-                self._spec = kernel.spec_of(self._instance)
-            return self._spec
 
     def covered_facts(self) -> List[Atom]:
         """All facts claimed by at least one source (global form)."""
@@ -87,9 +71,9 @@ class RegistrySnapshot:
 class RegistryDiff:
     """What one registry mutation changed, in block terms.
 
-    ``touched_blocks`` indexes blocks of the *old* snapshot whose counting
-    problems the change retired; ``full`` marks mutations (domain changes,
-    first registration) that touch everything.
+    ``touched_blocks`` indexes blocks of the *old* snapshot the change
+    touched; ``full`` marks mutations (domain changes, first registration)
+    that touch everything.
     """
 
     __slots__ = ("old_version", "new_version", "changed_sources",
@@ -159,52 +143,6 @@ def diff_snapshots(
     )
 
 
-def invalidation_tags(
-    old: RegistrySnapshot, diff: RegistryDiff
-) -> FrozenSet:
-    """The canonical memo keys one mutation retired, as bus tags.
-
-    Recomputes, from the old spec, the canonical keys the engine would have
-    planned for the denominator and for each touched block's numerator.
-    Pushed through :meth:`repro.cache.CacheRegistry.invalidate_tags`, they
-    reach the (content-addressed) engine memo by key match — the memo needs
-    no stored tags for the bus to retire exactly these entries. An old
-    snapshot that was never identity-decomposable keyed nothing.
-    """
-    if not len(old.collection):
-        return frozenset()
-    try:
-        spec = old.spec()
-    except SourceError:
-        return frozenset()  # not identity-decomposable; nothing keyed
-    blocks = (
-        range(spec.n_blocks) if diff.full else diff.touched_blocks
-    )
-    problems = [kernel.reduce_spec(spec)]
-    problems += [kernel.reduce_spec(spec, forced={j: 1}) for j in blocks]
-    return frozenset(
-        canonical_key(problem) for problem in problems if problem is not None
-    )
-
-
-def invalidate(
-    memo: LRUMemo, old: RegistrySnapshot, diff: RegistryDiff
-) -> int:
-    """Discard the old snapshot's memo entries for touched blocks.
-
-    The direct (single-memo) form of the invalidation bus, used for memos
-    that are not enrolled in the process registry — e.g. a private memo a
-    test or caller handed to the service. Returns how many entries were
-    actually removed (entries never computed, or already evicted, count
-    zero).
-    """
-    removed = 0
-    for key in invalidation_tags(old, diff):
-        if memo.discard(key):
-            removed += 1
-    return removed
-
-
 class SourceRegistry:
     """Thread-safe, versioned registry of source descriptors.
 
@@ -263,7 +201,6 @@ class SourceRegistry:
                     # diff; drop it so nothing retains rolled-back interning.
                     with old._lock:
                         old._instance = None
-                        old._spec = None
                 table.rollback(symbols)
                 raise
         self._head = new

@@ -10,8 +10,8 @@ iteration:
 2. **batch** — the worker takes the oldest request, then lingers up to
    ``batch_window`` collecting more requests pinned to the *same* snapshot
    version (compatibility criterion), up to ``max_batch``. One engine call
-   serves the whole batch: the counting problems of a batch's facts share
-   the denominator sweep and the memo, so k requests cost far less than k
+   serves the whole batch: every covered fact's confidence comes from one
+   counting sweep (or one memo line), so k requests cost far less than k
    dispatches — E16 measures the margin.
 3. **expire** — requests whose deadline passed while queued are answered
    ``TIMEOUT`` before any work is spent on them; deadlines are re-checked
@@ -109,8 +109,9 @@ class SnapshotContext:
     sources excluded — its demoted twin, which shares the version (callers
     still see the snapshot they pinned) but carries the collection with
     the excluded sources' bounds weakened to ⟨0, 0⟩. ``engine`` counts
-    over it. The certain database and the shard executor are built on
-    first use and stay ``None`` until then.
+    over it and, with a memo, keeps its covered-fact confidences, so only
+    the context's first batch keys or counts. The certain database and the
+    shard executor are built on first use and stay ``None`` until then.
     """
 
     __slots__ = ("snapshot", "engine", "certain_db", "executor", "_config")
@@ -454,7 +455,8 @@ class RequestScheduler:
         with those sources' annotations demoted to ⟨c=0, s=0⟩: their
         extensions stay in the fact space (confidences of their facts
         remain well-defined) but their bounds no longer constrain the
-        possible worlds.
+        possible worlds. The engine keeps its covered-fact confidences, so
+        after a context's first batch this reads them without counting.
         """
         engine = context.engine
         wanted = {f for request, _s, _f in live for f in request.facts}
@@ -462,17 +464,15 @@ class RequestScheduler:
             "engine", version=context.snapshot.version, facts=len(wanted)
         ):
             self.metrics.counter("engine_calls").inc()
-            confidences = dict(engine.confidences())
-            instance = engine.instance
+            covered = engine.confidences()
+            relation = engine.instance.relation
+            confidences: Dict[Atom, Fraction] = {}
             for f in wanted:
-                renamed = Atom(instance.relation, f.args)
-                if renamed in confidences:
-                    confidences.setdefault(f, confidences[renamed])
-                    continue
-                if f in confidences:
-                    continue
-                # Anonymous or out-of-space fact: one (memoized) extra task.
-                confidences[f] = engine.confidence(f)
+                confidence = covered.get(Atom(relation, f.args))
+                if confidence is None:
+                    # Anonymous or out-of-space fact: two memoized counts.
+                    confidence = engine.confidence(f)
+                confidences[f] = confidence
         return confidences
 
     def _answer_queries(

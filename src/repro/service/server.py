@@ -6,7 +6,7 @@ build it, ask it, drop it — the service is the deployment shape the paper's
 flight*. It owns:
 
 * a :class:`~repro.service.registry.SourceRegistry` (versioned, COW
-  snapshots; mutations incrementally invalidate the engine memo),
+  snapshots; a mutation retires the superseded version's derived caches),
 * a :class:`~repro.service.scheduler.RequestScheduler` (bounded admission,
   deadlines, micro-batching, the per-source availability pass),
 * a :class:`~repro.service.faults.PerSourceGateway` as the source-read
@@ -32,14 +32,10 @@ from typing import Dict, List, Optional, Sequence
 from repro.cache import cache_registry
 from repro.sources.collection import SourceCollection
 from repro.sources.descriptor import SourceDescriptor
-from repro.confidence.engine.memo import LRUMemo, shared_memo
+from repro.confidence.engine.memo import LRUMemo
 from repro.service.faults import PerSourceGateway
 from repro.service.metrics import MetricsRegistry
-from repro.service.registry import (
-    RegistryDiff,
-    SourceRegistry,
-    invalidation_tags,
-)
+from repro.service.registry import RegistryDiff, SourceRegistry
 from repro.service.requests import ServiceResponse
 from repro.service.scheduler import RequestScheduler, SchedulerConfig
 from repro.service.tracing import Tracer
@@ -61,7 +57,6 @@ class MediatorService:
         self.registry = SourceRegistry(sources, domain)
         self.metrics = MetricsRegistry()
         self.tracer = Tracer()
-        self.memo = memo if memo is not None else shared_memo()
         self.gateway = gateway if gateway is not None else PerSourceGateway()
         self.scheduler = RequestScheduler(
             self.registry,
@@ -69,7 +64,7 @@ class MediatorService:
             metrics=self.metrics,
             tracer=self.tracer,
             config=config,
-            memo=self.memo,
+            memo=memo,
         )
 
     # -- lifecycle ---------------------------------------------------------------
@@ -111,55 +106,42 @@ class MediatorService:
         """Admit without awaiting (returns the response future)."""
         return await self.scheduler.submit(facts, timeout=timeout, query=query)
 
-    # -- registry mutations (thread-safe; invalidate the memo incrementally) -----
+    # -- registry mutations (thread-safe; retire the old version's caches) ------
 
     def register_source(self, source: SourceDescriptor) -> RegistryDiff:
-        old = self.registry.snapshot()
         _snapshot, diff = self.registry.register(source)
-        self._after_mutation(old, diff)
+        self._after_mutation(diff)
         return diff
 
     def update_source(self, source: SourceDescriptor) -> RegistryDiff:
-        old = self.registry.snapshot()
         _snapshot, diff = self.registry.update(source)
-        self._after_mutation(old, diff)
+        self._after_mutation(diff)
         return diff
 
     def deregister_source(self, name: str) -> RegistryDiff:
-        old = self.registry.snapshot()
         _snapshot, diff = self.registry.deregister(name)
-        self._after_mutation(old, diff)
+        self._after_mutation(diff)
         return diff
 
     def set_domain(self, domain: Sequence) -> RegistryDiff:
-        old = self.registry.snapshot()
         _snapshot, diff = self.registry.set_domain(domain)
-        self._after_mutation(old, diff)
+        self._after_mutation(diff)
         return diff
 
-    def _after_mutation(self, old, diff: RegistryDiff) -> None:
-        """Drive the whole invalidation bus from one registry diff.
+    def _after_mutation(self, diff: RegistryDiff) -> None:
+        """Drive the invalidation bus from one registry diff.
 
-        One tag set — the memo keys the diff retired plus the fact sets of
-        every per-version store the scheduler gave up — pushed through one
-        ``invalidate_tags`` call retires every derived artifact of the old
-        version across every enrolled cache (memo, statistics, data
-        sources, partitions). A private (un-enrolled)
-        memo handed to the service is invalidated directly with the same
-        keys, so its behavior matches the shared one.
+        The fact sets of every per-version store the scheduler gave up,
+        pushed through one ``invalidate_tags`` call, retire every derived
+        artifact of the old version across the enrolled caches (statistics,
+        data sources, partitions). The engine memo is left alone: its keys
+        are the counting problems themselves, so no line can go stale.
         """
-        registry = cache_registry()
-        memo_tags = invalidation_tags(old, diff)
-        tags = set(memo_tags)
-        tags.update(self.scheduler.retire_version_tags(diff.new_version))
-        per_cache = registry.invalidate_tags(tags)
-        if registry.is_enrolled(self.memo):
-            removed = per_cache.get("engine.memo", 0)
-        else:
-            removed = sum(1 for key in memo_tags if self.memo.discard(key))
+        per_cache = cache_registry().invalidate_tags(
+            self.scheduler.retire_version_tags(diff.new_version)
+        )
         dropped = per_cache.get("plan.statistics", 0)
         self.metrics.counter("registry_mutations").inc()
-        self.metrics.counter("memo_entries_invalidated").inc(removed)
         self.metrics.counter("plan_statistics_discarded").inc(dropped)
         self.metrics.counter("cache_entries_invalidated").inc(
             sum(per_cache.values())

@@ -14,6 +14,7 @@ from repro.confidence import (
     IdentityInstance,
     covered_fact_confidences,
 )
+from repro.confidence.engine import core as engine_core
 from repro.confidence.engine import (
     LRUMemo,
     ProcessExecutor,
@@ -22,6 +23,7 @@ from repro.confidence.engine import (
     kernel,
     make_executor,
 )
+from repro.confidence.engine.memo import CONFIDENCES
 from repro.consistency import (
     check_consistency,
     check_consistency_parallel,
@@ -149,8 +151,21 @@ def record_sweeps(monkeypatch):
     return sweeps
 
 
+def record_keys(monkeypatch):
+    """Record every problem the engine keys (the name the engine calls)."""
+    keyed = []
+    key_of = engine_core.canonical_key
+
+    def recording(problem):
+        keyed.append(problem)
+        return key_of(problem)
+
+    monkeypatch.setattr(engine_core, "canonical_key", recording)
+    return keyed
+
+
 def asymmetric_example51() -> SourceCollection:
-    """Example 5.1 with S2 fully sound: no two blocks share a memo key."""
+    """Example 5.1 with S2 fully sound: no two blocks are alpha-equivalent."""
     collection = example51()
     return SourceCollection(
         [
@@ -166,43 +181,152 @@ def test_confidences_is_one_sweep_tracking_every_block(monkeypatch):
         asymmetric_example51(), DOMAIN, cache_size=0
     ) as engine:
         engine.confidences()
-        assert engine.stats.tasks_submitted == 1 + len(engine.instance.blocks)
+        assert engine.stats.tasks_submitted == 1
         assert engine.stats.tasks_dispatched == 1
     [(_wire, track)] = sweeps
     assert track == tuple(range(len(engine.instance.blocks)))
 
 
-@pytest.mark.parametrize("missed_blocks", [(), (1,), (0, 2)])
-def test_partial_memo_hit_sweeps_once_for_the_missed_keys(
-    missed_blocks, monkeypatch
-):
-    """Denominator key discarded, block keys cached except *missed_blocks*."""
+def test_confidences_keys_once_on_a_miss_and_on_a_hit(monkeypatch):
+    """One key per call, hit or miss, whatever the number of blocks; the
+    line holds the count and every block's numerator in key order."""
     collection = asymmetric_example51()
     memo = LRUMemo(64)
-    with ConfidenceEngine(collection, DOMAIN, memo=memo) as engine:
-        expected = engine.confidences()
-        spec = engine.spec
-    denominator = kernel.reduce_spec(spec)
-    forced = [
-        kernel.reduce_spec(spec, forced={j: 1}) for j in range(spec.n_blocks)
-    ]
-    block_keys = [canonical_key(problem) for problem in forced]
-    assert len(set(block_keys)) == spec.n_blocks == 3
-    assert memo.discard(canonical_key(denominator))
-    for j in missed_blocks:
-        assert memo.discard(block_keys[j])
-
+    keyed = record_keys(monkeypatch)
     sweeps = record_sweeps(monkeypatch)
     with ConfidenceEngine(collection, DOMAIN, memo=memo) as engine:
+        expected = engine.confidences()
+        problem = kernel.reduce_spec(engine.spec)
+    assert keyed == [problem] and len(sweeps) == 1
+    key, order = canonical_key(problem)
+    count, numerators = memo.peek((CONFIDENCES, key))
+    assert len(memo) == 1
+    assert count == kernel.solve(problem).count
+    assert numerators == kernel.solve(problem, order).containing
+    assert [sweep[1] for sweep in sweeps] == [order]
+
+    with ConfidenceEngine(collection, DOMAIN, memo=memo) as engine:
         assert engine.confidences() == expected
-        assert engine.stats.tasks_submitted == 1 + spec.n_blocks
-        assert engine.stats.tasks_memoized == spec.n_blocks - len(missed_blocks)
-        assert engine.stats.tasks_dispatched == 1
-    [(_wire, track)] = sweeps
-    assert track == missed_blocks
-    assert memo.peek(canonical_key(denominator)) == kernel.solve(denominator)[0]
-    for j in missed_blocks:
-        assert memo.peek(block_keys[j]) == kernel.solve(forced[j])[0]
+        assert len(keyed) == 2 and len(sweeps) == 1  # a hit: no sweep
+        assert engine.stats.tasks_submitted == engine.stats.tasks_memoized == 1
+        assert engine.stats.tasks_dispatched == 0
+        # The engine keeps its result: a second call does not even key.
+        again = engine.confidences()
+        assert again == expected and again is not engine.confidences()
+        assert len(keyed) == 2
+        assert engine.stats.tasks_submitted == engine.stats.tasks_memoized == 3
+
+
+def test_count_questions_keep_one_key_each(monkeypatch):
+    keyed = record_keys(monkeypatch)
+    with ConfidenceEngine(example51(), DOMAIN, memo=LRUMemo(64)) as engine:
+        engine.count_worlds()
+        assert len(keyed) == 1
+        engine.joint_confidence([fact("R", "a"), fact("R", "c")])
+        assert len(keyed) == 3  # the denominator (a hit) and one numerator
+        # Count lines and the confidence line never share a key.
+        engine.confidences()
+        assert len(keyed) == 4 and engine.stats.tasks_dispatched == 3
+
+
+def tied_collection(names=("S1", "S2", "S3", "S4"), values="abcpqxyd"):
+    """S1 and S2 have equal profiles but are told apart by S3 and S4, so
+    the key's permutation search runs and their blocks differ."""
+    a, b, c, p, q, x, y, _d = values
+    views = [identity_view(f"V{k}", "R", 1) for k in range(1, 5)]
+    extensions = [(a, b, p), (b, c, q), (p, x), (q, y)]
+    bounds = [(0, "1/3"), (0, "1/3"), (0, 1), ("1/4", "1/2")]
+    return [
+        SourceDescriptor(
+            view, [fact(view.head.relation, v) for v in extension],
+            completeness, soundness, name=name,
+        )
+        for view, extension, (completeness, soundness), name in zip(
+            views, extensions, bounds, names
+        )
+    ]
+
+
+def test_alpha_equivalent_instance_hits_the_first_line(monkeypatch):
+    from repro.confidence.engine import memo as memo_module
+
+    domain = list("abcpqxyd")
+    sources = tied_collection()
+    renamed_domain = [f"{v}2" for v in domain]
+    renamed = tied_collection(names=("T1", "T2", "T3", "T4"),
+                              values=renamed_domain)
+    permuted = SourceCollection([renamed[k] for k in (3, 1, 2, 0)])
+    renderings = []
+    render = memo_module._render
+
+    def recording(*args):
+        renderings.append(args)
+        return render(*args)
+
+    monkeypatch.setattr(memo_module, "_render", recording)
+    memo = LRUMemo(64)
+    with ConfidenceEngine(SourceCollection(sources), domain, memo=memo) as first:
+        original = first.confidences()
+    assert len(renderings) > 1  # the tied sources were permuted
+    # Non-vacuous: the tied sources' own blocks have different confidences.
+    assert original[fact("R", "a")] != original[fact("R", "c")]
+    with ConfidenceEngine(permuted, renamed_domain, memo=memo) as second:
+        got = second.confidences()
+        assert second.stats.tasks_memoized == 1
+        assert second.stats.tasks_dispatched == 0
+    with ConfidenceEngine(permuted, renamed_domain, cache_size=0) as cold:
+        assert got == cold.confidences()
+    assert got == {
+        fact("R", f"{f.args[0].value}2"): c for f, c in original.items()
+    }
+
+
+def test_example51_on_a_miss_and_on_a_hit():
+    from tests.conftest import make_example51_collection
+
+    expected = {
+        fact("R", "a"): Fraction(4, 7),
+        fact("R", "b"): Fraction(6, 7),
+        fact("R", "c"): Fraction(4, 7),
+    }
+    memo = LRUMemo(64)
+    for hit in (0, 1):
+        with ConfidenceEngine(
+            make_example51_collection(), ["a", "b", "c", "d1"], memo=memo
+        ) as engine:
+            assert engine.confidences() == expected
+            assert engine.stats.worlds_counted == 7
+            assert engine.stats.tasks_memoized == hit
+
+
+def test_confidence_line_is_priced_above_a_count_line():
+    from repro.confidence.engine.memo import _memo_sizeof
+
+    memo = LRUMemo(64, name="priced", sizeof=_memo_sizeof)
+    with ConfidenceEngine(asymmetric_example51(), DOMAIN, memo=memo) as engine:
+        engine.count_worlds()
+        count_line = memo.bytes
+        engine.confidences()
+        confidence_line = memo.bytes - count_line
+    assert len(memo) == 2
+    assert confidence_line > count_line > 0
+
+
+def test_symbol_rollback_flushes_confidence_lines():
+    """Memo keys hold interned completeness IDs, so a rollback that
+    truncates the symbol table flushes the shared memo's lines."""
+    from repro.core import global_table
+
+    with ConfidenceEngine(asymmetric_example51(), DOMAIN) as engine:
+        engine.confidences()
+        key, _order = canonical_key(kernel.reduce_spec(engine.spec))
+    assert (CONFIDENCES, key) in engine.memo
+    table = global_table()
+    with table.exclusive():
+        before = table.snapshot()
+        table.constant("interned-then-rolled-back")
+        assert table.rollback(before) == 1
+    assert (CONFIDENCES, key) not in engine.memo
 
 
 def test_stats_sanity():
@@ -210,14 +334,17 @@ def test_stats_sanity():
         engine.confidences()
         stats = engine.stats
         assert stats.executor == "serial"
-        assert stats.tasks_submitted >= stats.tasks_dispatched > 0
+        assert stats.tasks_submitted == stats.tasks_dispatched == 1
         assert stats.worlds_counted > 0
         assert stats.dp_states > 0
-        assert set(stats.stages) >= {"decompose", "plan", "count", "assemble"}
+        assert set(stats.stages) == {"decompose", "count", "assemble"}
         assert all(s.seconds >= 0 for s in stats.stages.values())
         report = stats.render()
         assert "executor: serial" in report
         assert "counting tasks" in report
+    with ConfidenceEngine(example51(), DOMAIN, memo=LRUMemo(8)) as engine:
+        engine.confidences()
+        assert "plan" in engine.stats.stages  # keying and lookup
 
 
 def test_montecarlo_estimates_are_executor_independent():

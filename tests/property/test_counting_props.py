@@ -3,11 +3,18 @@ structural invariants of exact confidences."""
 
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.model import fact
-from repro.confidence import BlockCounter, GammaSystem, IdentityInstance
+from repro.queries import identity_view
+from repro.sources import SourceCollection, SourceDescriptor
+from repro.confidence import (
+    BlockCounter,
+    ConfidenceEngine,
+    GammaSystem,
+    IdentityInstance,
+)
 from repro.confidence.engine import kernel
 
 from tests.property.strategies import VALUES, identity_collections
@@ -118,3 +125,42 @@ def test_block_confidences_match_brute_force(collection):
     for j, confidence in BlockCounter(instance).block_confidences().items():
         for f in instance.blocks[j].facts:
             assert confidence == gamma.confidence(f)
+
+
+@given(
+    identity_collections(),
+    st.permutations(range(3)),
+    st.permutations(range(len(DOMAIN))),
+)
+@settings(max_examples=40, deadline=None)
+def test_shared_memo_line_serves_a_permuted_renamed_copy(
+    collection, order, renaming
+):
+    """One confidence line answers a draw and its alpha-equivalent copy
+    (sources permuted, facts renamed), exactly as counting each afresh."""
+    gamma = GammaSystem(IdentityInstance(collection, DOMAIN))
+    assume(gamma.count_solutions() > 0)
+    rename = {v: f"{DOMAIN[k]}'" for v, k in zip(DOMAIN, renaming)}
+    sources = [s for i in order for s in list(collection)[i:i + 1]]
+    copy = SourceCollection(
+        SourceDescriptor(
+            identity_view(f"W{k}", "R", 1),
+            [fact(f"W{k}", rename[f.args[0].value]) for f in s.extension],
+            s.completeness_bound, s.soundness_bound, name=f"T{k}",
+        )
+        for k, s in enumerate(sources)
+    )
+    copy_domain = [rename[v] for v in DOMAIN]
+
+    with ConfidenceEngine(collection, DOMAIN) as engine:
+        first = engine.confidences()
+    with ConfidenceEngine(copy, copy_domain) as engine:
+        second = engine.confidences()
+        assert engine.stats.tasks_memoized == 1
+    with ConfidenceEngine(collection, DOMAIN, cache_size=0) as engine:
+        assert first == engine.confidences()
+    with ConfidenceEngine(copy, copy_domain, cache_size=0) as engine:
+        assert second == engine.confidences()
+    for f, confidence in first.items():
+        assert gamma.confidence(f) == confidence
+        assert second[fact("R", rename[f.args[0].value])] == confidence

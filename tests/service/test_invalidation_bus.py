@@ -4,10 +4,11 @@ Before the cache runtime, a registry mutation fanned out to three separate
 invalidation call-sites: memo keys, statistics and shard stores each had
 their own, and partitions had none. These tests pin
 the unified contract: a
-single mutation produces one tag set (:func:`invalidation_tags` plus
-:meth:`retire_version_tags`) and one ``CacheRegistry.invalidate_tags``
-call, after which *no* enrolled cache still holds an entry derived from
-the retired version's fact sets.
+single mutation produces one tag set (:meth:`retire_version_tags`) and one
+``CacheRegistry.invalidate_tags`` call, after which *no* enrolled cache
+still holds an entry derived from the retired version's fact sets. The
+engine memo is not among them: its keys are the counting problems, so its
+lines never go stale.
 """
 
 from __future__ import annotations
@@ -15,12 +16,10 @@ from __future__ import annotations
 import asyncio
 
 from repro.cache import cache_registry
-from repro.confidence.engine.memo import shared_memo
 from repro.model import fact
 from repro.plan.statistics import cached_statistics
 from repro.queries import identity_view, parse_rule
 from repro.service import MediatorService, RequestStatus, SchedulerConfig
-from repro.service.registry import invalidation_tags
 from repro.shard.partition import _PARTITIONS
 from repro.sources import SourceDescriptor
 
@@ -70,26 +69,12 @@ class TestSingleDiffClearsEverything:
                 assert _PARTITIONS.peek(partition_key) is not None
                 before_invalidations = registry.stats()["invalidations"]
 
-                diff = service.register_source(extra_source())
+                service.register_source(extra_source())
 
-                memo_tags = invalidation_tags(old, diff)
-                removed = service.scheduler.metrics.counter(
-                    "memo_entries_invalidated"
-                ).value
-                return (
-                    core, fragments, partition_key, memo_tags,
-                    before_invalidations, removed,
-                )
+                return core, fragments, partition_key, before_invalidations
 
-        core, fragments, partition_key, memo_tags, before, removed = run(
-            scenario()
-        )
+        core, fragments, partition_key, before = run(scenario())
 
-        # Memo entries for the retired spec: gone, via the same bus call —
-        # and there were warm entries to remove (non-vacuous).
-        assert memo_tags
-        assert removed >= 1
-        assert not any(key in shared_memo() for key in memo_tags)
         # Fact-set-derived entries for the retired certain core: gone.
         assert cached_statistics(core) is None
         for f in fragments:

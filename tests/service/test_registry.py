@@ -1,4 +1,4 @@
-"""Versioned registry: copy-on-write snapshots, diffs, memo invalidation."""
+"""Versioned registry: copy-on-write snapshots, diffs, memo reuse."""
 
 import pytest
 
@@ -7,7 +7,7 @@ from repro.model import fact
 from repro.queries import identity_view
 from repro.sources import SourceDescriptor
 from repro.confidence.engine import ConfidenceEngine, LRUMemo
-from repro.service import SourceRegistry, diff_snapshots, invalidate
+from repro.service import SourceRegistry, diff_snapshots
 
 from tests.conftest import make_example51_collection
 
@@ -134,72 +134,25 @@ class TestDiffs:
 
 
 class TestInvalidation:
-    def test_invalidate_discards_touched_block_keys(self):
-        registry = make_registry()
-        old = registry.snapshot()
-        memo = LRUMemo(64)
-        with ConfidenceEngine(old.instance(), memo=memo) as engine:
-            engine.confidences()  # populate: denominator + 3 block keys
-        populated = len(memo)
-        assert populated >= 2
-        _new, diff = registry.update(
-            old.collection.by_name("S2").with_bounds(soundness_bound=1)
-        )
-        removed = invalidate(memo, old, diff)
-        # Denominator + the two S2 blocks go; the a-block entry stays.
-        assert removed == 3
-        assert len(memo) == populated - removed
-
-    def test_full_diff_discards_everything_planned(self):
-        registry = make_registry()
-        old = registry.snapshot()
-        memo = LRUMemo(64)
-        with ConfidenceEngine(old.instance(), memo=memo) as engine:
-            engine.confidences()
-        populated = len(memo)
-        _new, diff = registry.set_domain(["a", "b", "c", "d", "e"])
-        removed = invalidate(memo, old, diff)
-        assert removed == populated
-        assert len(memo) == 0
-
-    def test_invalidate_empty_old_collection_is_noop(self):
-        registry = SourceRegistry((), DOMAIN)
-        old = registry.snapshot()
-        memo = LRUMemo(8)
-        _new, diff = registry.register(s3())
-        assert invalidate(memo, old, diff) == 0
-
     def test_untouched_entries_still_hit_after_unrelated_mutation(self):
-        # Asymmetric bounds so S1's and S2's singleton blocks do NOT share
-        # a canonical key (in Example 5.1 proper they are alpha-equivalent
-        # and legitimately share one cache line).
-        from repro.sources import SourceCollection
-
-        collection = SourceCollection([
-            SourceDescriptor(
-                identity_view("V1", "R", 1),
-                [fact("V1", "a"), fact("V1", "b")], "1/2", "1/2", name="S1",
-            ),
-            SourceDescriptor(
-                identity_view("V2", "R", 1),
-                [fact("V2", "b"), fact("V2", "c")], "1/2", 1, name="S2",
-            ),
-        ])
-        registry = SourceRegistry(collection, DOMAIN)
+        """A mutation retires no memo line: the old snapshot's confidence
+        line still hits, and so does a later version equal to it."""
+        registry = make_registry()
         old = registry.snapshot()
         memo = LRUMemo(64)
         with ConfidenceEngine(old.instance(), memo=memo) as engine:
-            engine.confidences()
-        _new, diff = registry.update(
-            old.collection.by_name("S2").with_bounds(completeness_bound=1)
-        )
-        invalidate(memo, old, diff)
-        survivors = len(memo)
-        assert survivors >= 1  # the a-block key survived
-        # Recomputing the *old* snapshot hits the surviving entries.
-        with ConfidenceEngine(old.instance(), memo=memo) as engine:
-            engine.confidences()
-            assert engine.stats.tasks_memoized >= survivors
+            expected = engine.confidences()
+        s2 = old.collection.by_name("S2")
+        changed, _diff = registry.update(s2.with_bounds(soundness_bound=1))
+        restored, _diff = registry.update(s2)
+        with ConfidenceEngine(changed.instance(), memo=memo) as engine:
+            assert engine.confidences() != expected
+        assert len(memo) == 2
+        for snapshot in (old, restored):
+            with ConfidenceEngine(snapshot.instance(), memo=memo) as engine:
+                assert engine.confidences() == expected
+                assert engine.stats.tasks_memoized == 1
+                assert engine.stats.tasks_dispatched == 0
 
 
 class TestAbortedMutationSymbolRollback:

@@ -14,6 +14,7 @@ from repro.service import (
     MediatorService,
     PerSourceGateway,
     RequestStatus,
+    SchedulerConfig,
 )
 
 from tests.conftest import make_example51_collection
@@ -100,29 +101,98 @@ class TestSnapshotIsolation:
         assert after.confidences[R_A] == after.confidences[R_D] == 1
         assert before.confidences[R_A] != 1 and before.confidences[R_D] != 1
 
-    def test_mutation_invalidates_shared_memo(self):
+    def test_reverting_mutation_hits_the_private_memo(self):
+        """A mutation retires no memo line; a version equal to an earlier
+        one is served from that version's line."""
         memo = LRUMemo(128)
 
         async def scenario():
             async with MediatorService(
                 make_example51_collection(), DOMAIN, memo=memo
             ) as service:
-                assert (await service.confidence([R_A, R_B])).ok
-                populated = len(memo)
-                service.update_source(
-                    service.registry.snapshot()
-                    .collection.by_name("S2")
-                    .with_bounds(soundness_bound=1)
-                )
-                invalidated = service.metrics.counter(
-                    "memo_entries_invalidated"
-                ).value
-                return populated, invalidated, len(memo)
+                first = await service.confidence([R_A, R_B])
+                s2 = service.registry.snapshot().collection.by_name("S2")
+                service.update_source(s2.with_bounds(soundness_bound=1))
+                assert len(memo) == 1
+                changed = await service.confidence([R_A, R_B])
+                assert len(memo) == 2
+                service.update_source(s2)
+                restored = await service.confidence([R_A, R_B])
+                return first, changed, restored
 
-        populated, invalidated, remaining = run(scenario())
-        assert populated >= 2
-        assert invalidated >= 1
-        assert remaining == populated - invalidated
+        first, changed, restored = run(scenario())
+        assert first.ok and changed.ok and restored.ok
+        assert restored.snapshot_version == 2
+        assert restored.confidences == first.confidences
+        assert changed.confidences != first.confidences
+        stats = memo.stats()
+        assert (stats.hits, stats.misses, stats.size) == (1, 2, 2)
+
+
+def record_keys_and_sweeps(monkeypatch):
+    """Record every problem the engine keys and every sweep it runs."""
+    from repro.confidence.engine import core, kernel
+
+    keyed, swept = [], []
+    canonical_key, solve_wire = core.canonical_key, kernel.solve_wire
+
+    def key(problem):
+        keyed.append(problem)
+        return canonical_key(problem)
+
+    def sweep(wire, track=()):
+        swept.append(wire)
+        return solve_wire(wire, track)
+
+    monkeypatch.setattr(core, "canonical_key", key)
+    monkeypatch.setattr(kernel, "solve_wire", sweep)
+    return keyed, swept
+
+
+class TestSteadyState:
+    def test_context_keys_once_then_batches_neither_key_nor_count(
+        self, monkeypatch
+    ):
+        keyed, swept = record_keys_and_sweeps(monkeypatch)
+
+        async def scenario():
+            async with MediatorService(
+                make_example51_collection(), DOMAIN, memo=LRUMemo(64)
+            ) as service:
+                assert (await service.confidence([R_A, R_B])).ok
+                assert (len(keyed), len(swept)) == (1, 1)
+                for i in range(20):
+                    wanted = [(R_A, R_B, R_C)[i % 3]]
+                    assert (await service.confidence(wanted)).ok
+                steady = (len(keyed) - 1, len(swept) - 1)
+                s2 = service.registry.snapshot().collection.by_name("S2")
+                per_context = []
+                for update in (s2.with_bounds(soundness_bound=1), s2):
+                    before = len(keyed)
+                    service.update_source(update)
+                    for _ in range(5):
+                        assert (await service.confidence([R_A, R_C])).ok
+                    per_context.append(len(keyed) - before)
+                return steady, per_context, service.metrics
+
+        steady, per_context, metrics = run(scenario())
+        assert steady == (0, 0)
+        assert per_context == [1, 1]
+        assert metrics.counter("engine_calls").value == 31
+
+    def test_memo_off_config_counts_every_batch(self, monkeypatch):
+        keyed, swept = record_keys_and_sweeps(monkeypatch)
+
+        async def scenario():
+            async with MediatorService(
+                make_example51_collection(), DOMAIN,
+                config=SchedulerConfig(engine_cache_size=0),
+            ) as service:
+                for _ in range(3):
+                    assert (await service.confidence([R_A, R_B])).ok
+
+        run(scenario())
+        assert (len(keyed), len(swept)) == (0, 3)
 
 
 class TestDegradation:
