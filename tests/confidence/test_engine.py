@@ -217,6 +217,52 @@ def test_confidences_keys_once_on_a_miss_and_on_a_hit(monkeypatch):
         assert engine.stats.tasks_submitted == engine.stats.tasks_memoized == 3
 
 
+@pytest.mark.parametrize("missed_blocks", [(), (1,), (0, 2)])
+def test_partial_memo_hit_sweeps_once_for_the_missed_keys(
+    missed_blocks, monkeypatch
+):
+    """Count lines for the denominator and every block except
+    *missed_blocks* are cached. They never answer confidences(): its one
+    key misses, one sweep tracks every block, and no block line is
+    written."""
+    collection = asymmetric_example51()
+    memo = LRUMemo(64)
+    with ConfidenceEngine(collection, DOMAIN, memo=memo) as engine:
+        spec = engine.spec
+        for block in engine.instance.blocks:
+            engine.confidence(next(iter(block.facts)))
+    with ConfidenceEngine(collection, DOMAIN, cache_size=0) as cold:
+        expected = cold.confidences()
+    denominator = kernel.reduce_spec(spec)
+    forced = [
+        kernel.reduce_spec(spec, forced={j: 1}) for j in range(spec.n_blocks)
+    ]
+    block_keys = [canonical_key(problem)[0] for problem in forced]
+    assert len(set(block_keys)) == spec.n_blocks == 3
+    assert canonical_key(denominator)[0] in memo
+    for j in missed_blocks:
+        assert memo.discard(block_keys[j])
+
+    keyed = record_keys(monkeypatch)
+    sweeps = record_sweeps(monkeypatch)
+    with ConfidenceEngine(collection, DOMAIN, memo=memo) as engine:
+        assert engine.confidences() == expected
+        assert engine.stats.tasks_submitted == 1
+        assert engine.stats.tasks_memoized == 0
+        assert engine.stats.tasks_dispatched == 1
+    key, order = canonical_key(denominator)
+    assert keyed == [denominator]
+    assert [sweep[1] for sweep in sweeps] == [order]
+    assert sorted(order) == list(range(spec.n_blocks))
+    assert (CONFIDENCES, key) in memo
+    assert memo.peek(key) == kernel.solve(denominator).count
+    for j, block_key in enumerate(block_keys):
+        if j in missed_blocks:
+            assert block_key not in memo
+        else:
+            assert memo.peek(block_key) == kernel.solve(forced[j]).count
+
+
 def test_count_questions_keep_one_key_each(monkeypatch):
     keyed = record_keys(monkeypatch)
     with ConfidenceEngine(example51(), DOMAIN, memo=LRUMemo(64)) as engine:
