@@ -6,14 +6,14 @@ the σ/π/×/∪ relational algebra — compile into one physical plan IR over t
 interned core (:mod:`repro.plan.ir`), with:
 
 * interned relation scans carrying pushed-down selections,
-* hash joins whose build-side indexes are cached per database,
+* one column index per relation, arity and key positions, cached per
+  database, which constant lookups and scan-side hash joins probe,
 * builtin/σ filters applied at the earliest bound point,
 * a canonical-form plan cache keyed by alpha-equivalence
   (:mod:`repro.plan.compiler` / :mod:`repro.plan.cache`),
 * a cost-based adaptive optimizer (:mod:`repro.plan.optimizer`) fed by a
-  statistics catalog (:mod:`repro.plan.statistics`) that picks join orders,
-  flags tiny probe sides, and re-optimizes plans whose runtime feedback
-  shows mis-estimates, and
+  statistics catalog (:mod:`repro.plan.statistics`) that picks join orders
+  and re-optimizes plans whose runtime feedback shows mis-estimates, and
 * ``EXPLAIN``-able plans (``python -m repro answer ... --explain``) plus
   measured ``EXPLAIN ANALYZE`` trees (:mod:`repro.plan.analyze`,
   ``--explain-analyze``).

@@ -2,8 +2,9 @@
 
 The hot interpreter (:func:`repro.plan.executor._run`) stays uninstrumented;
 this module keeps a parallel interpreter that mirrors its semantics exactly
-(including the ``prefer_scan_probe`` strategy choice and the per-source
-operator caches) while recording each operator's actual output cardinality.
+(joins go through the same :func:`~repro.plan.executor._hash_join`, so a
+scan build side is probed through the per-source column index) while
+recording each operator's actual output cardinality.
 The annotated tree then renders every plan line as::
 
     hash-join [left.col0 = right.col0]  (est=310 actual=288 rows)
@@ -21,12 +22,11 @@ observation point, not a fork of the adaptive behavior.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, Sequence, Tuple
 
 from repro.plan.executor import (
     PlanDataSource,
-    _build_index,
-    _scan_probe_join,
+    _hash_join,
     data_source_for,
     format_est,
     record_feedback,
@@ -65,35 +65,19 @@ def _eval_measured(
     if node_type is HashJoinNode:
         left_rows = _run_measured(node.left, source, actuals)
         right = node.right
-        if type(right) is ScanNode:
-            # Measure the build side even when the probe side came up empty
-            # (the hot path would short-circuit; the diagnostic should not).
-            right_rows = source.scan_rows(right)
-            actuals[id(right)] = actuals.get(id(right), 0) + len(right_rows)
-            if (
-                node.prefer_scan_probe
-                and source.cached_index(right, node.right_keys) is None
-            ):
-                return _scan_probe_join(node, left_rows, source)
-            index = source.join_index(right, node.right_keys)
-        else:
-            index = _build_index(
-                _run_measured(right, source, actuals), node.right_keys
+        if type(right) is not ScanNode:
+            return _hash_join(
+                node, left_rows, _run_measured(right, source, actuals), source
             )
-        left_keys = node.left_keys
-        out: List[Tuple[int, ...]] = []
-        if left_keys:
-            get = index.get
-            for lrow in left_rows:
-                matches = get(tuple(lrow[c] for c in left_keys))
-                if matches:
-                    for rrow in matches:
-                        out.append(lrow + rrow)
-        else:
-            right_rows = index.get((), ())
-            for lrow in left_rows:
-                for rrow in right_rows:
-                    out.append(lrow + rrow)
+        out = _hash_join(node, left_rows, None, source)
+        # Measure the build side even when the probe side came up empty
+        # (the hot path would short-circuit; the diagnostic should not). A
+        # probed scan's size is known once its column index exists; only
+        # otherwise is the scan materialized for the count.
+        size = source.scan_size(right)
+        if size is None:
+            size = len(source.scan_rows(right))
+        actuals[id(right)] = actuals.get(id(right), 0) + size
         return out
     if node_type is FilterNode:
         predicate = node.predicate

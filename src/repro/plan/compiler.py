@@ -14,8 +14,7 @@ Both query languages compile into one IR (:mod:`repro.plan.ir`):
   :class:`~repro.plan.ir.FilterNode` predicates at the earliest point all
   their variables are bound (ground builtins become per-execution
   prefilters). Optimized plans carry per-operator cardinality estimates, a
-  :class:`~repro.plan.optimizer.PlanFeedback` for the adaptive loop, and
-  ``prefer_scan_probe`` flags on joins whose probe side should stay tiny.
+  :class:`~repro.plan.optimizer.PlanFeedback` for the adaptive loop.
 * **Algebra trees** — ``Selection*``-over-``Product*`` chains are flattened;
   ``Col = Col`` equalities across product leaves become hash-join keys,
   per-leaf equalities push into the scans, and every other condition becomes
@@ -279,8 +278,7 @@ def _compile_cq(
 
     With statistics (and at least two relational atoms) the join order comes
     from :func:`repro.plan.optimizer.choose_join_order`, per-operator
-    ``est_rows`` are annotated, joins with tiny probe sides get
-    ``prefer_scan_probe``, and the plan carries a
+    ``est_rows`` are annotated, and the plan carries a
     :class:`~repro.plan.optimizer.PlanFeedback` (*feedback*, or a fresh one)
     for the adaptive loop; *overrides* are observed scan cardinalities from
     a previous execution, fed back during re-optimization. Without
@@ -291,7 +289,6 @@ def _compile_cq(
         PlanFeedback,
         choose_join_order,
         optimizer_counters,
-        prefer_scan_probe,
     )
     from repro.queries.evaluation import order_body
 
@@ -357,19 +354,7 @@ def _compile_cq(
                 else:
                     left_keys.append(bound_col)
                     right_keys.append(j)
-            probe_flag = False
-            if (
-                optimized
-                and left_keys
-                and prev_est is not None
-                and scan_est is not None
-                and prefer_scan_probe(prev_est, scan_est)
-            ):
-                probe_flag = True
-                counters.bump("scan_probe_flags")
-            root = HashJoinNode(
-                root, scan, tuple(left_keys), tuple(right_keys), probe_flag
-            )
+            root = HashJoinNode(root, scan, tuple(left_keys), tuple(right_keys))
             root.est_rows = result_est
             for j, v in fresh:
                 var_cols[v] = width + j

@@ -1,12 +1,18 @@
 """Plan execution over interned fact sets, with per-database operator caches.
 
 A :class:`PlanDataSource` wraps one :class:`~repro.core.factset.IFactSet`
-and memoizes the two expensive physical artifacts:
+and memoizes the two physical artifacts plans read:
 
+* **column indexes** — one hash index per ``(relation id, arity, key
+  positions)``: the relation's argument tuples bucketed on the values at
+  those positions, built in one pass over the fact set's ``grouped()``
+  tuples. A scan with constant equalities reads only its bucket, and a hash
+  join whose build side is a scan probes the index row by row, so a
+  relation is passed over once per data source (when its index is built),
+  not once per lookup or per join execution;
 * **scan row sets** — the pushdown-filtered, projected rows of each distinct
-  :class:`~repro.plan.ir.ScanNode`, keyed by the scan's shape;
-* **hash-join indexes** — the build-side hash tables, keyed by scan shape ×
-  key columns.
+  :class:`~repro.plan.ir.ScanNode` a plan reads whole (a plan's first scan,
+  a cross product's build side), keyed by the scan's shape.
 
 Data sources themselves are cached process-wide keyed by the fact set's
 *value* (an ``IFactSet`` hashes by its frozenset of fact IDs), so evaluating
@@ -24,6 +30,7 @@ algebra) happens once per *distinct answer*, not per derivation.
 from __future__ import annotations
 
 from collections import OrderedDict
+from operator import itemgetter
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.cache import cache_registry
@@ -44,19 +51,24 @@ from repro.plan.ir import (
 
 Rows = Tuple[Tuple[int, ...], ...]
 
+#: A hash index: key (one value, or a tuple of values for several key
+#: columns, as :func:`operator.itemgetter` renders it) to the rows holding it.
+Index = Dict[object, Sequence[Tuple[int, ...]]]
+
 _EMPTY_ROWS: Rows = ()
 
 
 class PlanDataSource:
-    """Cached scans and join indexes over one immutable fact set."""
+    """Cached column indexes and scan rows over one immutable fact set."""
 
-    __slots__ = ("facts", "table", "_scans", "_indexes")
+    __slots__ = ("facts", "table", "_scans", "_columns", "_sizes")
 
     def __init__(self, facts: IFactSet):
         self.facts = facts
         self.table = facts.table
         self._scans: Dict[Tuple, Rows] = {}
-        self._indexes: Dict[Tuple, Dict[Tuple[int, ...], Rows]] = {}
+        self._columns: Dict[Tuple[int, int, Tuple[int, ...]], Index] = {}
+        self._sizes: Dict[Tuple[int, int], int] = {}
 
     def scan_rows(self, node: ScanNode) -> Rows:
         """The scan's output rows (computed once per scan shape)."""
@@ -68,75 +80,117 @@ class PlanDataSource:
         return rows
 
     def _build_scan(self, node: ScanNode) -> Rows:
+        const_eq = node.const_eq
+        if const_eq:
+            positions = tuple(pos for pos, _cid in const_eq)
+            key = (
+                const_eq[0][1] if len(const_eq) == 1
+                else tuple(cid for _pos, cid in const_eq)
+            )
+            bucket = self.column_index(node.rid, node.arity, positions).get(key)
+            return _scan_filter(node, bucket) if bucket else _EMPTY_ROWS
         grouped = self.facts.grouped().get(node.rid)
         if not grouped:
             return _EMPTY_ROWS
-        arity = node.arity
-        const_eq = node.const_eq
-        dup_eq = node.dup_eq
-        output = node.output
-        seen: "OrderedDict[Tuple[int, ...], None]" = OrderedDict()
-        for args in grouped:
-            if len(args) != arity:
-                continue
-            ok = True
-            for pos, cid in const_eq:
-                if args[pos] != cid:
-                    ok = False
-                    break
-            if ok:
-                for first, later in dup_eq:
-                    if args[first] != args[later]:
-                        ok = False
-                        break
-            if ok:
-                seen.setdefault(tuple(args[p] for p in output))
-        return tuple(seen)
+        if node.plain:
+            arity = node.arity
+            return tuple(args for args in grouped if len(args) == arity)
+        return _scan_filter(node, grouped)
 
-    def peek_scan_rows(self, node: ScanNode) -> Optional[Rows]:
-        """The scan's rows if this source already built them, else ``None``.
+    def column_index(
+        self, rid: int, arity: int, positions: Tuple[int, ...]
+    ) -> Index:
+        """Relation *rid*'s arity-*arity* tuples bucketed on *positions*.
 
-        The runtime-feedback pass reads actual scan cardinalities through
-        this so recording observations never triggers work the plan's own
-        execution did not already pay for.
+        Built in one pass on first use, then cached for the data source's
+        lifetime; *positions* must be non-empty.
         """
-        return self._scans.get(node.cache_key())
-
-    def join_index(
-        self, node: ScanNode, key_cols: Tuple[int, ...]
-    ) -> Dict[Tuple[int, ...], Rows]:
-        """Hash index of a scan's rows on *key_cols* (cached)."""
-        cache_key = (node.cache_key(), key_cols)
-        index = self._indexes.get(cache_key)
+        key = (rid, arity, positions)
+        index = self._columns.get(key)
         if index is None:
-            index = _build_index(self.scan_rows(node), key_cols)
-            self._indexes[cache_key] = index
+            building = _build_index(
+                self.facts.grouped().get(rid, _EMPTY_ROWS), positions, arity
+            )
+            # Buckets are frozen to tuples: the index lives as long as the
+            # data source, and the garbage collector stops tracking a tuple
+            # of int tuples but traverses a list on every full collection.
+            index = {k: tuple(bucket) for k, bucket in building.items()}
+            self._columns[key] = index
+            self._sizes[rid, arity] = sum(map(len, index.values()))
         return index
 
-    def cached_index(
-        self, node: ScanNode, key_cols: Tuple[int, ...]
-    ) -> Optional[Dict[Tuple[int, ...], Rows]]:
-        """An already-built hash index, or ``None`` (never builds one)."""
-        return self._indexes.get((node.cache_key(), key_cols))
+    def scan_size(self, node: ScanNode) -> Optional[int]:
+        """The scan's row count if already known, else ``None``.
+
+        Known when the scan's rows were built, or — for a plain scan, whose
+        rows are the relation's tuples — once any column index over its
+        relation and arity was. Never builds anything: the runtime-feedback
+        pass reads actual scan cardinalities through this, so recording
+        observations costs no work the plan's own execution did not pay.
+        """
+        rows = self._scans.get(node.cache_key())
+        if rows is not None:
+            return len(rows)
+        if node.plain:
+            return self._sizes.get((node.rid, node.arity))
+        return None
 
     def cached_artifacts(self) -> Tuple[int, int]:
-        """``(scan_count, index_count)`` currently memoized."""
-        return len(self._scans), len(self._indexes)
+        """``(scan_count, column_index_count)`` currently memoized."""
+        return len(self._scans), len(self._columns)
+
+
+def _scan_filter(node: ScanNode, rows: Sequence[Tuple[int, ...]]) -> Rows:
+    """Argument tuples through a scan's pushdowns and projection, deduped."""
+    arity = node.arity
+    const_eq = node.const_eq
+    dup_eq = node.dup_eq
+    output = node.output
+    seen: "OrderedDict[Tuple[int, ...], None]" = OrderedDict()
+    for args in rows:
+        if len(args) != arity:
+            continue
+        ok = True
+        for pos, cid in const_eq:
+            if args[pos] != cid:
+                ok = False
+                break
+        if ok:
+            for first, later in dup_eq:
+                if args[first] != args[later]:
+                    ok = False
+                    break
+        if ok:
+            seen.setdefault(tuple(args[p] for p in output))
+    return tuple(seen)
 
 
 def _build_index(
-    rows: Sequence[Tuple[int, ...]], key_cols: Tuple[int, ...]
-) -> Dict[Tuple[int, ...], Rows]:
-    building: Dict[Tuple[int, ...], List[Tuple[int, ...]]] = {}
+    rows: Sequence[Tuple[int, ...]],
+    key_cols: Tuple[int, ...],
+    arity: Optional[int] = None,
+) -> Dict[object, List[Tuple[int, ...]]]:
+    """Hash *rows* on *key_cols* in one pass; rows whose width is not
+    *arity* (when given) are skipped."""
+    key_of = itemgetter(*key_cols)
+    building: Dict[object, List[Tuple[int, ...]]] = {}
+    get = building.get
     for row in rows:
-        building.setdefault(tuple(row[c] for c in key_cols), []).append(row)
-    return {key: tuple(group) for key, group in building.items()}
+        if arity is not None and len(row) != arity:
+            continue
+        key = key_of(row)
+        bucket = get(key)
+        if bucket is None:
+            building[key] = [row]
+        else:
+            bucket.append(row)
+    return building
 
 
 # -- the process-wide data-source cache ----------------------------------------
 
-#: Bound on retained data sources. Each holds scan rows and hash indexes for
-#: one database; per-world evaluation loops cycle through far fewer live
+#: Bound on retained data sources. Each holds column indexes and scan rows
+#: for one database; per-world evaluation loops cycle through far fewer live
 #: worlds than this at a time.
 MAX_DATA_SOURCES = 128
 
@@ -144,7 +198,7 @@ MAX_DATA_SOURCES = 128
 def _source_sizeof(facts: IFactSet, source: PlanDataSource) -> int:
     """Price a data source by its world: rows and indexes scale with facts.
 
-    Scan rows and hash indexes are materialized lazily, so an exact figure
+    Column indexes and scan rows are materialized lazily, so an exact figure
     would drift after store time; a per-fact estimate (row tuples plus an
     index entry's dict overhead) keeps accounting stable and monotone in
     world size, which is what budget-driven eviction needs.
@@ -184,8 +238,8 @@ def discard_data_source(facts: IFactSet) -> bool:
     """Drop one fact set's cached data source, if present.
 
     The shard layer's invalidation hook: a retired registry snapshot's
-    fragments will never be scanned again, so their scan rows and join
-    indexes can leave the LRU early instead of aging out. Kept callable
+    fragments will never be scanned again, so their column indexes and scan
+    rows can leave the LRU early instead of aging out. Kept callable
     directly, but the invalidation bus reaches the same entries by key
     match on the retired fact sets.
     """
@@ -194,31 +248,65 @@ def discard_data_source(facts: IFactSet) -> bool:
 
 # -- the interpreter -----------------------------------------------------------
 
-def _scan_probe_join(
+def _probed_scan(node: ScanNode, get):
+    """A bucket lookup that runs each probed bucket through *node*'s scan.
+
+    For build-side scans that are not plain: a bucket holds raw argument
+    tuples, so each distinct probed key is filtered, projected and
+    deduplicated once per join execution. Keys are join columns, which the
+    scan emits, so per-bucket deduplication equals :meth:`scan_rows`'s.
+    """
+    scanned: Dict[object, Rows] = {}
+
+    def lookup(key) -> Rows:
+        rows = scanned.get(key)
+        if rows is None:
+            bucket = get(key)
+            rows = _scan_filter(node, bucket) if bucket else _EMPTY_ROWS
+            scanned[key] = rows
+        return rows
+
+    return lookup
+
+
+def _hash_join(
     node: HashJoinNode,
     left_rows: Sequence[Tuple[int, ...]],
+    right_rows: Optional[Sequence[Tuple[int, ...]]],
     source: PlanDataSource,
-) -> Sequence[Tuple[int, ...]]:
-    """Join a tiny probe side against a scan without building its hash index.
+) -> List[Tuple[int, ...]]:
+    """Join *left_rows* against the build side.
 
-    The optimizer's ``prefer_scan_probe`` path for cold data sources: the
-    build side's rows are filtered once against the probe keys, grouping
-    only the matching rows, so a huge build relation probed by a handful of
-    rows costs one pass instead of a full (and cached) index build.
+    *right_rows* is ``None`` when the build side is a :class:`ScanNode`: a
+    keyed join then probes the data source's column index on the scan's
+    key positions, with no per-execution pass over the relation, and a
+    cross product reads the scan's cached rows. Other build sides arrive
+    materialized and are hashed here.
     """
-    right_rows = source.scan_rows(node.right)
-    left_keys = node.left_keys
-    right_keys = node.right_keys
-    probe_keys = {tuple(lrow[c] for c in left_keys) for lrow in left_rows}
-    matched: Dict[Tuple[int, ...], List[Tuple[int, ...]]] = {}
-    for rrow in right_rows:
-        key = tuple(rrow[c] for c in right_keys)
-        if key in probe_keys:
-            matched.setdefault(key, []).append(rrow)
     out: List[Tuple[int, ...]] = []
-    get = matched.get
+    if not left_rows:
+        return out
+    right = node.right
+    left_keys = node.left_keys
+    if not left_keys:
+        if right_rows is None:
+            right_rows = source.scan_rows(right)
+        for lrow in left_rows:
+            for rrow in right_rows:
+                out.append(lrow + rrow)
+        return out
+    if right_rows is None:
+        output = right.output
+        get = source.column_index(
+            right.rid, right.arity, tuple(output[c] for c in node.right_keys)
+        ).get
+        if not right.plain:
+            get = _probed_scan(right, get)
+    else:
+        get = _build_index(right_rows, node.right_keys).get
+    probe = itemgetter(*left_keys)
     for lrow in left_rows:
-        matches = get(tuple(lrow[c] for c in left_keys))
+        matches = get(probe(lrow))
         if matches:
             for rrow in matches:
                 out.append(lrow + rrow)
@@ -234,32 +322,8 @@ def _run(node: PlanNode, source: PlanDataSource) -> Sequence[Tuple[int, ...]]:
         if not left_rows:
             return _EMPTY_ROWS
         right = node.right
-        if type(right) is ScanNode:
-            if (
-                node.prefer_scan_probe
-                and source.cached_index(right, node.right_keys) is None
-            ):
-                return _scan_probe_join(node, left_rows, source)
-            index = source.join_index(right, node.right_keys)
-        else:
-            index = _build_index(_run(right, source), node.right_keys)
-        if not index:
-            return _EMPTY_ROWS
-        left_keys = node.left_keys
-        out: List[Tuple[int, ...]] = []
-        if left_keys:
-            get = index.get
-            for lrow in left_rows:
-                matches = get(tuple(lrow[c] for c in left_keys))
-                if matches:
-                    for rrow in matches:
-                        out.append(lrow + rrow)
-        else:
-            right_rows = index.get((), _EMPTY_ROWS)
-            for lrow in left_rows:
-                for rrow in right_rows:
-                    out.append(lrow + rrow)
-        return out
+        right_rows = None if type(right) is ScanNode else _run(right, source)
+        return _hash_join(node, left_rows, right_rows, source)
     if node_type is FilterNode:
         predicate = node.predicate
         table = source.table
@@ -294,9 +358,9 @@ def record_feedback(
 ) -> None:
     """Fold one execution's observations into the plan's feedback loop.
 
-    Only free observations are taken: scan cardinalities come off the data
-    source's already-built caches (:meth:`PlanDataSource.peek_scan_rows`)
-    and the result count is the length the caller already has. A q-error
+    Only free observations are taken: scan cardinalities come off what the
+    data source already built (:meth:`PlanDataSource.scan_size`) and the
+    result count is the length the caller already has. A q-error
     beyond the re-optimization threshold flips ``feedback.stale`` — the plan
     cache re-optimizes on its next hit.
     """
@@ -307,10 +371,9 @@ def record_feedback(
         return
     counters = optimizer_counters()
     for scan in plan.scan_nodes:
-        rows = source.peek_scan_rows(scan)
-        if rows is None:
+        actual = source.scan_size(scan)
+        if actual is None:
             continue
-        actual = len(rows)
         feedback.observed[scan.cache_key()] = actual
         counters.record_q_error(feedback.record(scan.est_rows, actual))
     if plan.root.est_rows is not None:

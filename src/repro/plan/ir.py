@@ -13,7 +13,8 @@ Operators:
   while scanning, before any join sees the rows; ``output`` then projects the
   scan down to the columns later operators need.
 * :class:`HashJoinNode` — equi-join; the right side is hash-indexed on its
-  key columns (index cached per data source when the right side is a scan).
+  key columns (a scan's column index, cached per data source, when the
+  right side is a scan).
 * :class:`FilterNode` — a residual predicate at the earliest point where all
   the columns it mentions are bound.
 * :class:`ProjectNode` — column picks plus :class:`Lit` literal columns.
@@ -263,10 +264,14 @@ class ScanNode(PlanNode):
     * ``output`` — argument positions the scan emits, in order.
 
     Facts whose arity differs from ``arity`` are skipped, mirroring the
-    boxed :class:`~repro.algebra.ast.RelationScan`.
+    boxed :class:`~repro.algebra.ast.RelationScan`. A ``plain`` scan has no
+    pushdowns and emits every argument in order, so its rows are the
+    relation's argument tuples themselves.
     """
 
-    __slots__ = ("relation", "rid", "arity", "const_eq", "dup_eq", "output")
+    __slots__ = (
+        "relation", "rid", "arity", "const_eq", "dup_eq", "output", "plain",
+    )
 
     def __init__(
         self,
@@ -283,6 +288,9 @@ class ScanNode(PlanNode):
         self.const_eq = const_eq
         self.dup_eq = dup_eq
         self.output = output
+        self.plain = (
+            not const_eq and not dup_eq and output == tuple(range(arity))
+        )
         self.width = len(output)
         self.est_rows = None
 
@@ -305,19 +313,16 @@ class ScanNode(PlanNode):
 class HashJoinNode(PlanNode):
     """Hash equi-join; output rows are ``left_row + right_row``.
 
-    The right side is materialized and indexed on ``right_keys``; the left
-    side streams and probes with ``left_keys``. Empty keys degrade to a
-    cross product (the algebra's ×). When the right side is a
-    :class:`ScanNode`, the executor caches the hash index on the data
-    source, so repeated plans over one database build each index once.
-
-    ``prefer_scan_probe`` is the optimizer's build-vs-probe verdict: when
-    set (probe side estimated far smaller than the build side), a cold
-    execution filters the scan's rows per probe key instead of building
-    the full hash index; a warm source with a cached index ignores it.
+    The left side streams and probes with ``left_keys`` into the right side
+    indexed on ``right_keys``. Empty keys degrade to a cross product (the
+    algebra's ×). A keyed join over a :class:`ScanNode` right side never
+    materializes the scan: the left side probes the data source's cached
+    column index on the scan's key positions, so repeated plans over one
+    database build each index once and never re-read the relation. Any
+    other right side is materialized and hashed per execution.
     """
 
-    __slots__ = ("left", "right", "left_keys", "right_keys", "prefer_scan_probe")
+    __slots__ = ("left", "right", "left_keys", "right_keys")
 
     def __init__(
         self,
@@ -325,7 +330,6 @@ class HashJoinNode(PlanNode):
         right: PlanNode,
         left_keys: Tuple[int, ...],
         right_keys: Tuple[int, ...],
-        prefer_scan_probe: bool = False,
     ):
         if len(left_keys) != len(right_keys):
             raise PlanError("join key lists must have equal length")
@@ -333,7 +337,6 @@ class HashJoinNode(PlanNode):
         self.right = right
         self.left_keys = left_keys
         self.right_keys = right_keys
-        self.prefer_scan_probe = prefer_scan_probe
         self.width = left.width + right.width
         self.est_rows = None
 
@@ -342,14 +345,13 @@ class HashJoinNode(PlanNode):
         return (self.left, self.right)
 
     def explain_line(self, table) -> str:
-        """One line: join keys (or cross-product) and probe strategy."""
+        """One line: join keys, or cross-product."""
         if self.left_keys:
             keys = ", ".join(
                 f"left.col{l} = right.col{r}"
                 for l, r in zip(self.left_keys, self.right_keys)
             )
-            strategy = " probe=scan" if self.prefer_scan_probe else ""
-            return f"hash-join [{keys}]{strategy}"
+            return f"hash-join [{keys}]"
         return "cross-product"
 
 

@@ -18,11 +18,6 @@ statistics catalog (:mod:`repro.plan.statistics`) instead:
   :data:`DP_THRESHOLD` relational atoms, greedy cheapest-next-join above
   it. Both tie-break deterministically, so a plan is a pure function of
   (query, statistics).
-* **build vs probe** — a hash join whose probe side is estimated far
-  smaller than its build side is flagged ``prefer_scan_probe``: the
-  executor then filters the scan's rows directly instead of building (and
-  caching) a large hash index that a handful of probe rows would barely
-  use. Warm executions with an already-cached index ignore the flag.
 * **runtime feedback** — every optimized plan carries a
   :class:`PlanFeedback`; executions record actual vs estimated
   cardinalities, and a q-error beyond :data:`REOPT_RATIO` marks the plan
@@ -30,9 +25,9 @@ statistics catalog (:mod:`repro.plan.statistics`) instead:
   cardinalities (capped by :data:`MAX_REOPTS_PER_PLAN` so an adversarial
   workload cannot thrash the compiler).
 
-Answers never change: the optimizer only permutes join order and physical
-join strategy, and the property suite pins optimized ≡ backtracking ≡
-naive on randomized databases.
+Answers never change: the optimizer only permutes join order, and the
+property suite pins optimized ≡ backtracking ≡ naive on randomized
+databases.
 """
 
 from __future__ import annotations
@@ -55,10 +50,6 @@ REOPT_RATIO = 8.0
 #: plans are indistinguishable down there and re-optimizing is pure churn.
 REOPT_MIN_ROWS = 16
 
-#: Flag ``prefer_scan_probe`` when the probe side is estimated at least
-#: this many times smaller than the build side.
-SCAN_PROBE_FACTOR = 64.0
-
 #: After this many re-optimizations one plan is pinned as-is.
 MAX_REOPTS_PER_PLAN = 3
 
@@ -74,7 +65,7 @@ class OptimizerCounters:
 
     __slots__ = (
         "_lock", "plans_optimized", "plans_static", "dp_orders",
-        "greedy_orders", "scan_probe_flags", "feedback_checks",
+        "greedy_orders", "feedback_checks",
         "misestimates", "reoptimizations", "q_error_sum", "q_error_count",
         "max_q_error",
     )
@@ -85,7 +76,6 @@ class OptimizerCounters:
         self.plans_static = 0
         self.dp_orders = 0
         self.greedy_orders = 0
-        self.scan_probe_flags = 0
         self.feedback_checks = 0
         self.misestimates = 0
         self.reoptimizations = 0
@@ -119,7 +109,6 @@ class OptimizerCounters:
                 "plans_static": self.plans_static,
                 "dp_orders": self.dp_orders,
                 "greedy_orders": self.greedy_orders,
-                "scan_probe_flags": self.scan_probe_flags,
                 "feedback_checks": self.feedback_checks,
                 "misestimates": self.misestimates,
                 "reoptimizations": self.reoptimizations,
@@ -134,7 +123,6 @@ class OptimizerCounters:
             self.plans_static = 0
             self.dp_orders = 0
             self.greedy_orders = 0
-            self.scan_probe_flags = 0
             self.feedback_checks = 0
             self.misestimates = 0
             self.reoptimizations = 0
@@ -424,13 +412,3 @@ def _dp_order(indexed, scan_ests, var_dists) -> Tuple[List[int], float]:
 def _popcount(mask: int) -> int:
     """Number of set bits (3.10-compatible spelling of ``int.bit_count``)."""
     return bin(mask).count("1")
-
-
-def prefer_scan_probe(probe_est: float, build_est: float) -> bool:
-    """Should this join skip the hash index and filter the scan directly?
-
-    True when the probe side is so small relative to the build side that
-    building (and caching) the index would dominate the join's cost on a
-    cold data source. Warm sources with a cached index ignore the flag.
-    """
-    return probe_est * SCAN_PROBE_FACTOR < build_est

@@ -27,7 +27,10 @@ iteration:
    those annotations demoted (``repro.resilience.degrade``) and responses
    carry ``degraded`` / ``excluded_sources`` / per-answer guarantee
    metadata; every future resolves with a :class:`ServiceResponse`, never
-   an exception.
+   an exception. A fault outside :class:`~repro.exceptions.ReproError`
+   fails only its own batch: those requests are answered ``ERROR``, the
+   traceback is logged, ``internal_errors`` counts it, and the worker
+   serves on.
 
 Everything observable lands in the shared :class:`MetricsRegistry` (queue
 depth, batch sizes, per-status latency histograms, probe and hedge counts,
@@ -38,6 +41,7 @@ breaker transitions) and the :class:`Tracer` (per-batch ``source_read`` /
 from __future__ import annotations
 
 import asyncio
+import logging
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, FrozenSet, List, Optional, Tuple
@@ -57,6 +61,8 @@ from repro.service.requests import (
     ServiceResponse,
 )
 from repro.service.tracing import Tracer
+
+_LOG = logging.getLogger(__name__)
 
 #: No sources excluded: the well-known key suffix of healthy contexts.
 NO_EXCLUSIONS: FrozenSet[str] = frozenset()
@@ -352,10 +358,31 @@ class RequestScheduler:
         return batch
 
     async def _serve_batch(self, batch) -> None:
-        # Cleared only on normal completion: if the worker is cancelled
-        # mid-batch, stop() finds the batch here and rejects its futures.
+        # Cleared only on completion: if the worker is cancelled mid-batch,
+        # stop() finds the batch here and rejects its futures.
         self._inflight = batch
-        await self._serve_batch_inner(batch)
+        try:
+            await self._serve_batch_inner(batch)
+        except Exception as exc:
+            # A fault outside the modelled ReproError path fails this batch,
+            # not the worker: every later request is still served.
+            _LOG.exception("batch of %d requests failed", len(batch))
+            self.metrics.counter("internal_errors").inc()
+            now = asyncio.get_running_loop().time()
+            for request, _snapshot, future in batch:
+                if not future.done():
+                    self._resolve(
+                        request, future,
+                        ServiceResponse(
+                            request.request_id, RequestStatus.ERROR,
+                            reason=(
+                                f"internal error: {type(exc).__name__}: {exc}"
+                            ),
+                            snapshot_version=request.snapshot_version,
+                            latency=now - request.submitted_at,
+                            batch_size=len(batch),
+                        ),
+                    )
         self._inflight = []
 
     async def _serve_batch_inner(self, batch) -> None:

@@ -1,19 +1,25 @@
 """Executor tests: answers, data-source sharing, caches, boundaries."""
 
+import re
+
 import pytest
 
 from repro.algebra.ast import Product, Projection, RelationScan, Selection
 from repro.algebra.conditions import Col, Comparison
 from repro.model import GlobalDatabase, fact
 from repro.model.terms import Constant
+from repro.core import global_table
 from repro.plan import (
     MAX_DATA_SOURCES,
     clear_data_sources,
+    clear_statistics,
     data_source_count,
     data_source_for,
     evaluate,
     evaluate_rows,
     explain,
+    explain_analyze,
+    statistics_for,
 )
 from repro.queries import evaluate_backtracking, evaluate_naive, parse_rule
 
@@ -140,6 +146,93 @@ class TestDataSourceSharing:
         assert evaluate(q, victim_db) == answers_before == frozenset(
             {fact("ans", 0)}
         )
+
+
+def spy_on_relation(core, relation):
+    """Record every pass over *relation*'s grouped tuples in *core*."""
+    passes = []
+
+    class Spied(tuple):
+        def __iter__(self):
+            passes.append(relation)
+            return tuple.__iter__(self)
+
+    grouped = core.grouped()
+    rid = global_table().relation(relation)
+    grouped[rid] = Spied(grouped[rid])
+    return passes
+
+
+class TestColumnIndexes:
+    def test_first_sight_lookups_build_one_index(self):
+        db = GlobalDatabase(
+            fact("Lk", f"k{i % 50}", f"v{i}") for i in range(200)
+        )
+        core = db.core()
+        statistics_for(core)  # profiled up front: it reads every tuple too
+        passes = spy_on_relation(core, "Lk")
+        for i in range(40):
+            q = parse_rule(f"ans(v) <- Lk('k{i}', v)")
+            assert evaluate(q, db) == evaluate_naive(q, db)
+        source = data_source_for(core)
+        assert source.cached_artifacts() == (40, 1)
+        assert passes == ["Lk"]
+
+    def test_warm_join_over_plain_scan_reads_no_tuples(self, db):
+        q = parse_rule("ans(x, z) <- E(x, y), F(y, z)")
+        expected = evaluate(q, db)
+        source = data_source_for(db.core())
+        built = source.cached_artifacts()
+        assert built[1] == 1  # the build side's column index
+        passes = spy_on_relation(db.core(), "E")
+        passes += spy_on_relation(db.core(), "F")
+        assert evaluate(q, db) == expected
+        assert source.cached_artifacts() == built
+        assert passes == []
+
+
+def actual_counts(text):
+    return [int(n) for n in re.findall(r"actual=(\d+)", text)]
+
+
+class TestExplainAnalyzeActuals:
+    """Probing a build-side scan through its column index reports the same
+    per-operator actual row counts as materializing the scan: the expected
+    counts were measured with every build-side scan materialized."""
+
+    SMALL = GlobalDatabase(
+        [fact("Ea", i % 7, i % 5) for i in range(30)]
+        + [fact("Fa", i % 5, f"z{i % 4}") for i in range(12)]
+        + [fact("Ga", "t", i % 7) for i in range(4)]
+    )
+    CHAIN = GlobalDatabase(
+        [fact("Hub", f"k{i % 20}", f"z{i}") for i in range(1280)]
+        + [fact("Spoke", f"x{i % 64}", f"k{i % 20}") for i in range(64)]
+        + [fact("Leaf", f"x{j}", f"w{j}") for j in (3, 17)]
+    )
+
+    @pytest.mark.parametrize(
+        "database, rule, actuals",
+        [
+            (SMALL, "ans(x, z) <- Ea(x, y), Fa(y, z)", [28, 72, 12, 30]),
+            (SMALL, "ans(x) <- Ea(x, y), Fa(y, 'z1')", [7, 18, 3, 30]),
+            (SMALL, "ans(x) <- Ea(x, x), Ga('t', x)", [4, 4, 4, 5]),
+            (SMALL, "ans(x, w) <- Ga('t', x), Fa(w, 'z0')", [12, 12, 3, 4]),
+            (
+                SMALL, "ans(x, z) <- Ea(x, y), Ea(y, z), Fa(z, w)",
+                [35, 312, 72, 12, 30, 30],
+            ),
+            (
+                CHAIN, "ans(x, z) <- Hub(y, z), Spoke(x, y), Leaf(x, w)",
+                [128, 128, 2, 2, 64, 1280],
+            ),
+            (CHAIN, "ans(x) <- Leaf(x, w), Spoke(x, 'k3')", [1, 1, 2, 4]),
+        ],
+    )
+    def test_actual_row_counts(self, database, rule, actuals):
+        clear_statistics()
+        text = explain_analyze(parse_rule(rule), database)
+        assert actual_counts(text) == actuals
 
 
 class TestExplain:

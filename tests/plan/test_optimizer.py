@@ -19,10 +19,8 @@ from repro.plan.optimizer import (
     MAX_REOPTS_PER_PLAN,
     REOPT_MIN_ROWS,
     REOPT_RATIO,
-    SCAN_PROBE_FACTOR,
     PlanFeedback,
     optimizer_stats,
-    prefer_scan_probe,
     q_error,
 )
 from repro.queries import evaluate_backtracking, parse_rule
@@ -52,14 +50,6 @@ class TestQError:
 
     def test_missing_estimate_is_neutral(self):
         assert q_error(None, 10**6) == 1.0
-
-
-class TestPreferScanProbe:
-    def test_tiny_probe_side_flags(self):
-        assert prefer_scan_probe(1.0, SCAN_PROBE_FACTOR + 1)
-
-    def test_balanced_sides_do_not_flag(self):
-        assert not prefer_scan_probe(100.0, 100.0)
 
 
 class TestFeedback:

@@ -86,6 +86,27 @@ class TestMetricsRegistry:
         assert snapshot["gauges"]["depth"]["value"] == 3
         assert snapshot["histograms"]["latency"]["count"] == 1
 
+    def test_lookup_of_existing_instrument_constructs_nothing(
+        self, monkeypatch
+    ):
+        import repro.service.metrics as metrics
+
+        built = []
+
+        class CountingHistogram(Histogram):
+            __slots__ = ()
+
+            def __init__(self, *args, **kwargs):
+                built.append(1)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(metrics, "Histogram", CountingHistogram)
+        registry = MetricsRegistry()
+        first = registry.histogram("x")
+        assert len(built) == 1
+        assert registry.histogram("x") is first
+        assert len(built) == 1
+
     def test_snapshot_is_json_serializable(self):
         registry = MetricsRegistry()
         registry.counter("a").inc(2)

@@ -159,62 +159,113 @@ class TestAbortedMutationSymbolRollback:
     """An aborted mutation must not leak symbol-table IDs (satellite of the
     interned-core refactor): diffing interns the new collection's constants
     and facts, and if the mutation raises before the head swap, the registry
-    rolls the process-wide table back to its pre-mutation snapshot.
+    rolls the process-wide table back to its pre-mutation snapshot and
+    flushes every enrolled cache.
+
+    Each test's source carries constants of its own, in the registry's
+    domain but in no extension, so nothing interned them before the
+    mutation; the failure is injected after both decompositions, so the
+    rollback has something to remove.
     """
 
+    @pytest.fixture
+    def fails_after_decomposition(self, monkeypatch):
+        """Make a diff raise once both snapshots are decomposed, when the
+        decomposition interned this test's constants; returns the constants
+        each injected failure saw interned."""
+        import repro.service.registry as registry_module
+        from repro.core import global_table
+
+        seen = []
+        real_diff = registry_module.RegistryDiff
+
+        def diff_fails(*args, **kwargs):
+            table = global_table()
+            interned = {
+                v for v in self.fresh if table.find_constant(v) is not None
+            }
+            if not interned:
+                return real_diff(*args, **kwargs)
+            seen.append(interned)
+            raise SourceError("injected failure after decomposition")
+
+        monkeypatch.setattr(registry_module, "RegistryDiff", diff_fails)
+        return seen
+
+    def registry_with_fresh_constants(self, tag: str) -> SourceRegistry:
+        from repro.core import global_table
+
+        self.fresh = (f"rollback-{tag}-1", f"rollback-{tag}-2")
+        assert all(global_table().find_constant(v) is None for v in self.fresh)
+        return SourceRegistry(
+            make_example51_collection(), DOMAIN + list(self.fresh)
+        )
+
     def bad_source(self) -> SourceDescriptor:
-        # Extension constants far outside the registry domain: the diff's
-        # decomposition (new.instance()) raises SourceError mid-mutation,
-        # after those constants were interned.
         return SourceDescriptor(
             identity_view("V2", "R", 1),
-            [fact("V2", "leaked-xyz"), fact("V2", "leaked-uvw")],
+            [fact("V2", value) for value in self.fresh],
             "1/2",
             1,
             name="S2",
         )
 
-    def test_aborted_update_rolls_back_interned_ids(self):
+    def test_aborted_update_rolls_back_interned_ids(
+        self, fails_after_decomposition
+    ):
+        from repro.cache import cache_registry
         from repro.core import global_table
 
-        registry = make_registry()
+        registry = self.registry_with_fresh_constants("update")
         registry.snapshot().instance()  # decompose v0 up-front
         table = global_table()
         before = table.snapshot()
-        with pytest.raises(SourceError, match="outside the domain"):
+        flushes = cache_registry().stats()["rollback_flushes"]
+        with pytest.raises(SourceError, match="injected failure"):
             registry.update(self.bad_source())
+        assert fails_after_decomposition == [set(self.fresh)]
         assert table.snapshot() == before
-        assert table.find_constant("leaked-xyz") is None
-        assert table.find_constant("leaked-uvw") is None
+        assert all(table.find_constant(v) is None for v in self.fresh)
+        assert cache_registry().stats()["rollback_flushes"] == flushes + 1
         # The head never swapped and the registry still works.
         assert registry.version() == 0
         new, _diff = registry.register(s3())
         assert new.version == 1
 
-    def test_aborted_update_drops_old_caches_built_mid_mutation(self):
+    def test_aborted_update_drops_old_caches_built_mid_mutation(
+        self, fails_after_decomposition
+    ):
+        from repro.cache import cache_registry
         from repro.core import global_table
 
-        registry = make_registry()
+        registry = self.registry_with_fresh_constants("midway")
         # Do NOT touch old.instance() first: the old decomposition is built
         # (and its symbols interned) inside the failed mutation itself, so
         # keeping it would retain rolled-back IDs.
         old = registry.snapshot()
         assert old._instance is None
-        before = global_table().snapshot()
-        with pytest.raises(SourceError, match="outside the domain"):
+        table = global_table()
+        before = table.snapshot()
+        flushes = cache_registry().stats()["rollback_flushes"]
+        with pytest.raises(SourceError, match="injected failure"):
             registry.update(self.bad_source())
+        assert fails_after_decomposition == [set(self.fresh)]
         assert old._instance is None
-        assert global_table().snapshot() == before
+        assert table.snapshot() == before
+        assert all(table.find_constant(v) is None for v in self.fresh)
+        assert cache_registry().stats()["rollback_flushes"] == flushes + 1
         # Rebuilding on demand re-interns cleanly.
         covered = {str(f) for f in old.covered_facts()}
         assert covered == {"R('a')", "R('b')", "R('c')"}
 
-    def test_interning_threads_survive_concurrent_aborts(self):
+    def test_interning_threads_survive_concurrent_aborts(
+        self, fails_after_decomposition
+    ):
         import threading
 
         from repro.core import global_table
 
-        registry = make_registry()
+        registry = self.registry_with_fresh_constants("threads")
         registry.snapshot().instance()
         table = global_table()
         stop = threading.Event()
@@ -239,6 +290,8 @@ class TestAbortedMutationSymbolRollback:
             stop.set()
             thread.join()
         assert errors == []
+        assert fails_after_decomposition == [set(self.fresh)] * 50
+        assert all(table.find_constant(v) is None for v in self.fresh)
         assert registry.version() == 0
 
 

@@ -2,7 +2,9 @@
 
 import asyncio
 import json
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 from repro.model import fact
 from repro.queries import identity_view
@@ -18,6 +20,10 @@ from repro.service import (
 )
 
 from tests.conftest import make_example51_collection
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "tools"))
+
+import check_service_snapshot  # noqa: E402
 
 DOMAIN = ["a", "b", "c", "d"]
 R_A, R_B, R_C, R_D = (fact("R", x) for x in "abcd")
@@ -227,6 +233,45 @@ class TestDegradation:
                 assert response.confidences[R_A] == engine.confidence(R_A)
             if not excluded:
                 assert response.confidences[R_A] == Fraction(4, 7)
+
+
+class TestInternalFaults:
+    def test_unexpected_engine_error_fails_only_its_batch(self, monkeypatch):
+        """A fault outside ``ReproError`` answers its own batch ``ERROR``;
+        the worker keeps serving and the snapshot still balances."""
+        confidences = ConfidenceEngine.confidences
+        raised = []
+
+        def fails_once(engine, *args, **kwargs):
+            if not raised:
+                raised.append(True)
+                raise TypeError("injected engine fault")
+            return confidences(engine, *args, **kwargs)
+
+        monkeypatch.setattr(ConfidenceEngine, "confidences", fails_once)
+
+        async def scenario():
+            async with MediatorService(
+                make_example51_collection(), DOMAIN
+            ) as service:
+                failed = await asyncio.wait_for(service.confidence([R_A]), 5)
+                served = await asyncio.wait_for(
+                    service.confidence([R_A, R_B]), 5
+                )
+                inflight = list(service.scheduler._inflight)
+                return failed, served, inflight, service.stats()
+
+        failed, served, inflight, stats = run(scenario())
+        assert failed.status is RequestStatus.ERROR
+        assert "TypeError" in failed.reason
+        assert served.ok
+        assert served.confidences == {R_A: Fraction(4, 7), R_B: Fraction(6, 7)}
+        assert inflight == []
+        counters = stats["metrics"]["counters"]
+        assert counters["internal_errors"] == 1
+        assert (counters["responses_error"], counters["responses_ok"]) == (1, 1)
+        snapshot = json.loads(json.dumps(stats))
+        assert check_service_snapshot.validate(snapshot) == []
 
 
 class TestObservability:

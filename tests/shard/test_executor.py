@@ -65,6 +65,39 @@ class TestEquivalence:
         assert executor_for(db, 4).answer(query) == frozenset()
 
 
+class TestPointLookupStore:
+    """The E20 workload at a small size: first-sight point lookups over
+    ``R(k, v)`` pruned to one shard, and the scatter scan, answer exactly
+    as the single store does."""
+
+    M = 400
+
+    @pytest.fixture(scope="class")
+    def store(self):
+        return GlobalDatabase(
+            fact("R", f"k{i % 60}", f"v{i}") for i in range(self.M)
+        )
+
+    @pytest.mark.parametrize("shards", [4, 8])
+    def test_pruned_lookups_match_single_store(self, store, shards):
+        executor = executor_for(store, shards)
+        for i in range(15):
+            query = parse_rule(f"ans(v) <- R('k{i}', v)")
+            expected = plan_evaluate(query, store)
+            assert len(expected) == self.M // 60 + (i < self.M % 60)
+            assert executor.answer(query) == expected
+        assert executor.counters["strategy_pruned"] == 15
+        assert executor.counters["shards_pruned"] == 15 * (shards - 1)
+
+    def test_scatter_scan_matches_single_store(self, store):
+        executor = executor_for(store, 4)
+        query = parse_rule("ans(k, v) <- R(k, v)")
+        answers = executor.answer(query)
+        assert answers == plan_evaluate(query, store)
+        assert len(answers) == self.M
+        assert executor.counters["strategy_scatter"] == 1
+
+
 class TestCounters:
     def test_plan_counters(self):
         reset_shard_stats()
