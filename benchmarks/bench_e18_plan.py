@@ -8,11 +8,12 @@ algorithm in this repo spends its time in: the *same* query evaluated over
 * **per-world evaluation** — the join ``ans(x, z) <- E(x, y), F(y, z)``
   over a cycled pool of perturbed worlds (~60 binary facts each). The plan
   arm compiles once per alpha-equivalence class and reuses each world's
-  cached scan rows and hash-join build sides through the value-keyed data
-  source LRU; the backtracking arm re-scans ``F``'s whole extension for
-  every ``E`` fact, every world, every pass. Cold pass (first sight of each
-  world) and warm pass (the repeated-evaluation steady state — the headline)
-  are reported separately.
+  scan rows and column indexes, which live on the world's fact set; the
+  backtracking arm re-scans ``F``'s whole extension for every ``E`` fact,
+  every world, every pass. Cold pass (first sight of each world: fresh
+  fact-set objects over the same interned IDs, so nothing is built yet) and
+  warm pass (the repeated-evaluation steady state — the headline) are
+  reported separately.
 * **alpha-renamed query batch** — many syntactic variants of a few query
   shapes over one world: every rename after the first is a plan-cache hit,
   and the hit rate lands in the JSON payload (the observability contract
@@ -49,9 +50,9 @@ for _p in (REPO_ROOT, REPO_ROOT / "src"):
     if str(_p) not in sys.path:
         sys.path.insert(0, str(_p))
 
+from repro.core import IFactSet
 from repro.model import GlobalDatabase, fact
 from repro.plan import (
-    clear_data_sources,
     evaluate as plan_evaluate,
     plan_stats,
     shared_plan_cache,
@@ -110,7 +111,6 @@ def run_per_world(quick: bool):
     evaluations = pool_size * cycles
 
     # Fidelity first: both arms agree on every world in the pool.
-    clear_data_sources()
     for world in worlds:
         if plan_evaluate(query, world) != evaluate_backtracking(query, world):
             raise AssertionError("E18: plan and backtracking answers differ")
@@ -125,10 +125,14 @@ def run_per_world(quick: bool):
             for world in worlds:
                 evaluate_backtracking(query, world)
 
-    # Cold: every world's scans and indexes built from scratch (one cycle).
-    clear_data_sources()
+    # Cold: every world's scans and indexes built from scratch (one cycle),
+    # over fresh fact-set objects with the same interned IDs.
+    cold_worlds = [
+        GlobalDatabase.from_core(IFactSet(w.core().table, w.core().ids()))
+        for w in worlds
+    ]
     start = time.perf_counter()
-    for world in worlds:
+    for world in cold_worlds:
         plan_evaluate(query, world)
     t_cold = (time.perf_counter() - start) * cycles  # scaled to pass size
     # Warm: the steady state the possible-worlds loops live in.
@@ -251,7 +255,7 @@ def main(argv=None) -> int:
         f"shared plan cache: hits={stats['cache']['hits']} "
         f"misses={stats['cache']['misses']} "
         f"hit_rate={stats['cache']['hit_rate']:.3f}; "
-        f"data sources cached: {stats['data_sources']}",
+        f"data sources built: {stats['data_sources_built']}",
     ]
     table = write_table(
         "e18_plan",

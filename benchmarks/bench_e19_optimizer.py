@@ -55,8 +55,6 @@ from repro.confidence.engine.memo import LRUMemo
 from repro.core import global_table
 from repro.model import GlobalDatabase, fact
 from repro.plan import (
-    clear_data_sources,
-    clear_statistics,
     compile_query,
     data_source_for,
     execute_plan,
@@ -252,8 +250,6 @@ def main(argv=None) -> int:
     floor = SPEEDUP_FLOOR_QUICK if args.quick else SPEEDUP_FLOOR_FULL
     mode = "quick" if args.quick else "full"
 
-    clear_data_sources()
-    clear_statistics()
     reset_optimizer_stats()
 
     chain_rows, chain_record = run_skewed_chain(args.quick)

@@ -28,24 +28,19 @@ class AlgebraQuery:
         """The set of rows the query produces over *database*.
 
         Compiles the tree through :mod:`repro.plan` (cached per canonical
-        form, executed over interned scans and hash-join indexes). Trees
-        outside the compiled vocabulary — e.g. subclasses this module does
-        not know about — raise :class:`~repro.plan.ir.PlanError` at compile
-        time and fall back to the structural interpreter, which remains the
-        differential oracle as :meth:`evaluate_boxed`.
+        form, executed over interned scans and hash-join indexes). A tree
+        outside the compiled vocabulary — e.g. a subclass this module does
+        not know about — raises :class:`~repro.plan.ir.PlanError` naming
+        the tree; nothing falls back. The structural interpreter remains
+        the differential oracle as :meth:`evaluate_boxed`.
         """
         from repro.plan.executor import evaluate_rows
         from repro.plan.ir import PlanError
 
         try:
             return evaluate_rows(self, database)
-        except PlanError:
-            if type(self).evaluate_boxed is AlgebraQuery.evaluate_boxed:
-                raise NotImplementedError(
-                    f"{type(self).__name__} defines neither evaluate_boxed "
-                    "nor a compilable shape"
-                )
-            return self.evaluate_boxed(database)
+        except PlanError as exc:
+            raise PlanError(f"cannot plan {self!r}: {exc}") from exc
 
     def evaluate_boxed(self, database: GlobalDatabase) -> FrozenSet[Row]:
         """Structural (uncompiled) evaluation over boxed rows.

@@ -1,21 +1,18 @@
 """``repro.cache`` — the unified, memory-budgeted cache runtime.
 
-Every shared cache in the repo (engine memo, plan cache, data sources,
-statistics catalog, shard partition/fragment/portable stores) is an
-:class:`~repro.cache.runtime.LRUMemo` enrolled in the process-wide
-:class:`~repro.cache.runtime.CacheRegistry` returned by
-:func:`cache_registry`. The registry gives them three things no
-hand-rolled ``OrderedDict`` had:
+The two caches whose keys outlive any one database — the engine memo and
+the plan cache — are :class:`~repro.cache.runtime.LRUMemo` instances
+enrolled in the process-wide :class:`~repro.cache.runtime.CacheRegistry`
+returned by :func:`cache_registry`. The registry gives them:
 
 * a **global byte budget** (``--cache-budget-mb``) with weighted
   least-recently-used eviction across caches,
-* a single **invalidation bus**
-  (:meth:`~repro.cache.runtime.CacheRegistry.invalidate_tags`) that a
-  registry diff drives once to retire every derived artifact of a
-  retired world, and
+* a flush of every enrolled cache on a destructive symbol rollback, and
 * one uniform **stats tree** (``stats()["cache"]``).
 
-See ``docs/caching.md`` for the full design.
+State derived from one database lives on its fact set instead
+(:meth:`repro.core.factset.IFactSet.derived`) and is freed with it. See
+``docs/caching.md`` for the full design.
 """
 
 from __future__ import annotations

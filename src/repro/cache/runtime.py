@@ -1,26 +1,24 @@
 """The cache runtime: one memory-budgeted LRU type and its process registry.
 
-Before this module existed every derived-artifact cache in the repo — the
-engine's counting memo, the plan cache, the per-world data sources, the
-statistics catalog, the shard partition/fragment stores — was a separate
-hand-rolled ``OrderedDict`` with its own eviction constant, its own
-(sometimes absent) locking, and its own hand-wired invalidation path. This
-module replaces all of them with two pieces:
+Two caches are shared across databases: the engine's counting memo and the
+plan cache, whose keys (counting problems, canonical query forms) outlive
+any one database. State derived from one database — column indexes, scan
+rows, statistics, shard layouts — is not cached here: it lives on the
+object it derives from (:meth:`repro.core.factset.IFactSet.derived`) and
+is freed with it. This module has two pieces:
 
 * :class:`LRUMemo` — a thread-safe LRU with **per-entry cost accounting**
-  (a ``sizeof`` hook prices each entry in bytes at store time), **tags**
-  (arbitrary hashables naming what an entry derives from — typically the
-  :class:`~repro.core.factset.IFactSet` of the world it was computed over),
-  and uniform counters (``hits/misses/evictions/bytes/invalidations``).
+  (a ``sizeof`` hook prices each entry in bytes at store time) and uniform
+  counters (``hits/misses/evictions/bytes/invalidations``).
 * :class:`CacheRegistry` — the process-wide runtime every shared cache
   enrolls in. It owns an optional **global byte budget** shared across all
   enrolled caches: when the accounted total exceeds the budget, the
   registry evicts globally-least-recent entries *across* caches (weighted
   by their byte cost) until the total fits — a cache holding cold, heavy
   entries yields space to one serving hot, light ones, which no per-cache
-  entry bound can do. It is also the **invalidation bus**:
-  :meth:`CacheRegistry.invalidate_tags` retires, in one call, every entry
-  of every enrolled cache that derives from a retired world or snapshot.
+  entry bound can do. :meth:`CacheRegistry.invalidate_tags` drops, in one
+  call, every entry of every enrolled cache whose key is among the given
+  tags.
 
 Recency is global: every hit or store draws a tick from one process-wide
 counter, so "least recent across all caches" is well-defined without any
@@ -28,11 +26,6 @@ cross-cache lock ordering. Lock discipline: a cache's own lock is never
 held while the registry lock is taken (stores release before rebalancing),
 and the registry takes at most one cache lock at a time — no lock-order
 cycles, property-hammered in ``tests/cache/test_runtime.py``.
-
-Invalidation matches an entry when the tag set it was stored with
-intersects the retired tags, **or when its key itself is among the tags**
-— content-addressed caches (the data-source and statistics caches, keyed
-by fact-set value) need no duplicate tag storage.
 """
 
 from __future__ import annotations
@@ -131,19 +124,18 @@ class CacheStats(NamedTuple):
 
 
 class _Entry:
-    """One cache line: the value plus its cost, tags, and recency tick."""
+    """One cache line: the value plus its cost and recency tick."""
 
-    __slots__ = ("value", "cost", "tags", "tick")
+    __slots__ = ("value", "cost", "tick")
 
-    def __init__(self, value: Any, cost: int, tags: Tuple[Hashable, ...]):
+    def __init__(self, value: Any, cost: int):
         self.value = value
         self.cost = cost
-        self.tags = tags
         self.tick = next(_TICK)
 
 
 class LRUMemo:
-    """A thread-safe LRU cache with byte accounting and tag invalidation.
+    """A thread-safe LRU cache with byte accounting.
 
     Parameters
     ----------
@@ -171,7 +163,6 @@ class LRUMemo:
         self.name = name
         self._sizeof = sizeof if sizeof is not None else default_sizeof
         self._data: "OrderedDict[Hashable, _Entry]" = OrderedDict()
-        self._tag_index: Dict[Hashable, set] = {}
         self._lock = threading.Lock()
         self._registry: Optional["CacheRegistry"] = None
         self.hits = 0
@@ -197,28 +188,20 @@ class LRUMemo:
     def peek(self, key: Hashable) -> Optional[Any]:
         """The cached value without counting a hit or touching recency.
 
-        For opportunistic reads — e.g. the statistics catalog consulting a
-        parent fact set's profile for incremental maintenance — that should
-        neither skew hit rates nor keep an otherwise-cold entry alive.
+        For opportunistic reads that should neither skew hit rates nor keep
+        an otherwise-cold entry alive.
         """
         with self._lock:
             entry = self._data.get(key)
             return entry.value if entry is not None else None
 
-    def store(
-        self, key: Hashable, value: Any, tags: Iterable[Hashable] = ()
-    ) -> None:
-        """Insert or refresh an entry, tagged with what it derives from."""
+    def store(self, key: Hashable, value: Any) -> None:
+        """Insert or refresh an entry."""
         with self._lock:
-            self._store_locked(key, value, tags)
+            self._store_locked(key, value)
         self._after_store()
 
-    def get_or_create(
-        self,
-        key: Hashable,
-        factory: Callable[[], Any],
-        tags: Iterable[Hashable] = (),
-    ) -> Any:
+    def get_or_create(self, key: Hashable, factory: Callable[[], Any]) -> Any:
         """The entry's value, minting it atomically on first sight.
 
         The factory runs under the cache lock, so exactly one value is ever
@@ -234,22 +217,18 @@ class LRUMemo:
                 return entry.value
             self.misses += 1
             value = factory()
-            self._store_locked(key, value, tags)
+            self._store_locked(key, value)
         self._after_store()
         return value
 
-    def _store_locked(
-        self, key: Hashable, value: Any, tags: Iterable[Hashable]
-    ) -> None:
+    def _store_locked(self, key: Hashable, value: Any) -> None:
         old = self._data.get(key)
         if old is not None:
-            self._unindex(key, old)
-        entry = _Entry(value, max(0, int(self._sizeof(key, value))), tuple(tags))
+            self._bytes -= old.cost
+        entry = _Entry(value, max(0, int(self._sizeof(key, value))))
         self._data[key] = entry
         self._data.move_to_end(key)
         self._bytes += entry.cost
-        for tag in entry.tags:
-            self._tag_index.setdefault(tag, set()).add(key)
         while len(self._data) > self.maxsize:
             self._evict_locked()
 
@@ -258,18 +237,9 @@ class LRUMemo:
         if registry is not None:
             registry.balance()
 
-    def _unindex(self, key: Hashable, entry: _Entry) -> None:
-        self._bytes -= entry.cost
-        for tag in entry.tags:
-            keys = self._tag_index.get(tag)
-            if keys is not None:
-                keys.discard(key)
-                if not keys:
-                    del self._tag_index[tag]
-
     def _evict_locked(self) -> None:
-        key, entry = self._data.popitem(last=False)
-        self._unindex(key, entry)
+        _key, entry = self._data.popitem(last=False)
+        self._bytes -= entry.cost
         self.evictions += 1
 
     def discard(self, key: Hashable) -> bool:
@@ -282,33 +252,24 @@ class LRUMemo:
             entry = self._data.pop(key, None)
             if entry is None:
                 return False
-            self._unindex(key, entry)
+            self._bytes -= entry.cost
             return True
 
     def invalidate_tags(self, tags: Iterable[Hashable]) -> int:
-        """Retire every entry tagged with — or keyed by — any of *tags*.
+        """Retire every entry keyed by any of *tags*.
 
         Returns how many entries were dropped; each counts once in
-        ``invalidations``. Key matching makes content-addressed caches
-        (entries whose key *is* the derived artifact's identity)
-        invalidatable without storing duplicate tags.
+        ``invalidations``.
         """
         dropped = 0
         with self._lock:
-            doomed = set()
             for tag in tags:
-                keys = self._tag_index.get(tag)
-                if keys is not None:
-                    doomed.update(keys)
                 try:
-                    if tag in self._data:
-                        doomed.add(tag)
+                    entry = self._data.pop(tag, None)
                 except TypeError:  # unhashable tag can match nothing here
                     continue
-            for key in doomed:
-                entry = self._data.pop(key, None)
                 if entry is not None:
-                    self._unindex(key, entry)
+                    self._bytes -= entry.cost
                     dropped += 1
             self.invalidations += dropped
         return dropped
@@ -317,7 +278,6 @@ class LRUMemo:
         """Drop every entry (counters are cumulative and survive)."""
         with self._lock:
             self._data.clear()
-            self._tag_index.clear()
             self._bytes = 0
 
     # -- registry hooks (each takes the cache lock briefly; never nested) --------
@@ -374,7 +334,7 @@ class LRUMemo:
 
 
 class CacheRegistry:
-    """The process-wide cache runtime: budget, invalidation bus, stats tree.
+    """The process-wide cache runtime: budget, rollback flush, stats tree.
 
     Enrolled caches share one optional byte budget; ``None`` (the default)
     means per-cache ``maxsize`` bounds alone apply — exactly the historical
@@ -391,7 +351,7 @@ class CacheRegistry:
     # -- enrollment --------------------------------------------------------------
 
     def enroll(self, memo: LRUMemo) -> LRUMemo:
-        """Put one named cache under the registry's budget and bus.
+        """Put one named cache under the registry's budget.
 
         Every enrolled cache is flushed on a destructive symbol-table
         rollback (see :meth:`on_symbol_rollback`).
@@ -472,14 +432,13 @@ class CacheRegistry:
             self.budget_evictions += evicted
         return evicted
 
-    # -- the invalidation bus ----------------------------------------------------
+    # -- invalidation ------------------------------------------------------------
 
     def invalidate_tags(self, tags: Iterable[Hashable]) -> Dict[str, int]:
-        """Retire every enrolled entry deriving from any of *tags*.
+        """Retire every enrolled entry keyed by any of *tags*.
 
-        One registry diff, one call: the returned ``{cache name: dropped}``
-        map says exactly which derived artifacts each layer gave up, and
-        feeds the service's invalidation metrics.
+        The returned ``{cache name: dropped}`` map says how many entries
+        each cache gave up.
         """
         tags = tuple(tags)
         out: Dict[str, int] = {}
@@ -497,8 +456,8 @@ class CacheRegistry:
         Wired to :meth:`repro.core.symbols.SymbolTable.on_rollback` for the
         global table. Enrolled caches key or hold interned symbol IDs (the
         engine memo's keys carry interned completeness bounds), and IDs
-        above the truncation point may be reused, which content-addressing
-        cannot detect. Rollbacks only happen on aborted registry mutations
+        above the truncation point may be reused, which a key cannot
+        detect. Rollbacks only happen on aborted registry mutations
         (rare), so a flush — sound by construction — beats tracking which
         entries captured since-reused IDs.
         """

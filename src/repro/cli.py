@@ -130,9 +130,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     answer.add_argument(
         "--cache-budget-mb", type=float, default=None, metavar="MB",
-        help="global byte budget shared by every cache (memo, plans, data "
-        "sources, statistics, shard stores); least-recently-used entries "
-        "across all of them are evicted past it (default: unbounded)",
+        help="global byte budget shared by the confidence memo and the "
+        "plan cache; least-recently-used entries across both are evicted "
+        "past it (default: unbounded)",
     )
     answer.add_argument(
         "--stats", action="store_true",

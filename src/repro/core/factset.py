@@ -7,23 +7,31 @@ deterministic iteration, cheap pickling of the *values* not the objects) and
 a frozenset (O(1) membership, C-speed union/intersection/difference). The
 per-relation index is built lazily from the owning
 :class:`~repro.core.symbols.SymbolTable` on first relational access.
+
+State derived from a set (the plan layer's column indexes and statistics)
+is kept on the set itself (:meth:`IFactSet.derived`) and leaves the heap
+with it, so nothing has to retire a superseded version's artifacts.
 """
 
 from __future__ import annotations
 
 import weakref
 from array import array
-from typing import Dict, FrozenSet, Iterable, Iterator, Optional, Tuple
+from typing import (
+    Callable, Dict, FrozenSet, Iterable, Iterator, Optional, Tuple, TypeVar,
+)
 
 from repro.core.symbols import SymbolTable
+
+T = TypeVar("T")
 
 
 class Derivation:
     """How one fact set was derived from another: ``parent ± delta``.
 
     The statistics catalog (:mod:`repro.plan.statistics`) uses this hint to
-    maintain per-relation statistics *incrementally*: when the parent's
-    statistics are already cached and the delta is small relative to the
+    maintain per-relation statistics *incrementally*: when the parent is
+    alive with its statistics built and the delta is small relative to the
     derived set, the catalog applies per-fact count updates instead of
     rescanning the whole extension. The parent is held through a weak
     reference so the hint never extends any fact set's lifetime.
@@ -55,7 +63,7 @@ class IFactSet:
 
     __slots__ = (
         "table", "_ids", "_sorted", "_by_relation", "_grouped", "_hash",
-        "_derivation", "__weakref__",
+        "_derivation", "_derived", "__weakref__",
     )
 
     def __init__(
@@ -73,6 +81,7 @@ class IFactSet:
         self._grouped: Optional[Dict[int, Tuple[Tuple[int, ...], ...]]] = None
         self._hash = hash(self._ids)
         self._derivation = derivation
+        self._derived: Dict[Callable, object] = {}
 
     # -- set interface ---------------------------------------------------------
 
@@ -146,6 +155,27 @@ class IFactSet:
     def derivation(self) -> Optional[Derivation]:
         """The derivation hint this set was built with, if any."""
         return self._derivation
+
+    # -- derived state ---------------------------------------------------------
+
+    def derived(self, build: Callable[["IFactSet"], T]) -> T:
+        """``build(self)``, computed on first use and kept on this set.
+
+        The artifact lives exactly as long as the set: a superseded version
+        takes its artifacts with it when its last reference goes, and a set
+        over IDs reused after a symbol rollback starts with none. *build*
+        must not keep a reference to the set, or the two form a cycle that
+        only the garbage collector frees. Two threads racing on first use
+        may both build; every caller gets the value stored first.
+        """
+        value = self._derived.get(build)
+        if value is None:
+            value = self._derived.setdefault(build, build(self))
+        return value
+
+    def built(self, build: Callable[["IFactSet"], T]) -> Optional[T]:
+        """What :meth:`derived` keeps for *build*, without building it."""
+        return self._derived.get(build)
 
     # -- relational access -----------------------------------------------------
 

@@ -6,8 +6,9 @@ the σ/π/×/∪ relational algebra — compile into one physical plan IR over t
 interned core (:mod:`repro.plan.ir`), with:
 
 * interned relation scans carrying pushed-down selections,
-* one column index per relation, arity and key positions, cached per
-  database, which constant lookups and scan-side hash joins probe,
+* one column index per relation, arity and key positions, kept on the
+  database's fact set, which constant lookups and scan-side hash joins
+  probe,
 * builtin/σ filters applied at the earliest bound point,
 * a canonical-form plan cache keyed by alpha-equivalence
   (:mod:`repro.plan.compiler` / :mod:`repro.plan.cache`),
@@ -38,12 +39,9 @@ from repro.plan.cache import (
 )
 from repro.plan.compiler import compile_query, plan_for, plan_key
 from repro.plan.executor import (
-    MAX_DATA_SOURCES,
     PlanDataSource,
-    clear_data_sources,
-    data_source_count,
     data_source_for,
-    discard_data_source,
+    data_sources_built,
     evaluate,
     evaluate_rows,
     execute_plan,
@@ -59,15 +57,12 @@ from repro.plan.optimizer import (
 from repro.plan.statistics import (
     TableStatistics,
     cached_statistics,
-    clear_statistics,
-    discard_statistics,
     statistics_counters,
     statistics_for,
 )
 
 __all__ = [
     "CompiledPlan",
-    "MAX_DATA_SOURCES",
     "PlanDataSource",
     "PlanError",
     "PlanFeedback",
@@ -75,13 +70,9 @@ __all__ = [
     "analyze_plan",
     "cached_statistics",
     "choose_join_order",
-    "clear_data_sources",
-    "clear_statistics",
     "compile_query",
-    "data_source_count",
     "data_source_for",
-    "discard_data_source",
-    "discard_statistics",
+    "data_sources_built",
     "evaluate",
     "evaluate_rows",
     "execute_plan",
@@ -105,7 +96,7 @@ def plan_stats() -> dict:
     """One JSON-serializable snapshot of the plan layer's caches."""
     return {
         "cache": plan_cache_stats_dict(),
-        "data_sources": data_source_count(),
+        "data_sources_built": data_sources_built(),
         "statistics": statistics_counters(),
         "optimizer": optimizer_stats(),
     }

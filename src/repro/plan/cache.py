@@ -5,14 +5,13 @@ alpha-equivalence key rendered by :mod:`repro.plan.compiler` — so one cache
 entry serves every variable-renaming of a query. The cache itself is an
 :class:`~repro.cache.runtime.LRUMemo` from the unified cache runtime,
 enrolled in the process-wide registry as ``"plan.plans"`` — under the
-global byte budget and the invalidation bus like every other shared
-cache; its stats surface in ``repro.cli --stats`` JSON, the registry's
-``stats()["cache"]`` tree, and the mediator service's snapshot.
+global byte budget; its stats surface in ``repro.cli --stats`` JSON, the
+registry's ``stats()["cache"]`` tree, and the mediator service's snapshot.
 
-Plan entries carry no tags: a compiled plan depends only on the query's
-canonical form (plus optimizer feedback, handled by recompile-on-staleness
-in the compiler), never on any particular world, so registry diffs have
-nothing to retire here.
+A compiled plan depends only on the query's canonical form (plus optimizer
+feedback, handled by recompile-on-staleness in the compiler), never on any
+particular world, so its keys outlive every database and registry diffs
+have nothing to retire here.
 """
 
 from __future__ import annotations

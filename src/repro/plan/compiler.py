@@ -19,8 +19,7 @@ Both query languages compile into one IR (:mod:`repro.plan.ir`):
   ``Col = Col`` equalities across product leaves become hash-join keys,
   per-leaf equalities push into the scans, and every other condition becomes
   the cheapest applicable filter. Nodes outside the known vocabulary raise
-  :class:`~repro.plan.ir.PlanError`, and the caller falls back to the boxed
-  interpreter.
+  :class:`~repro.plan.ir.PlanError`.
 
 Cache keys quotient out variable naming: variables are numbered by first
 occurrence (head first, then body in written order), constants intern to
@@ -651,7 +650,7 @@ def plan_for(query, cache=None, table=None, facts=None) -> CompiledPlan:
     dictionary lookup.
 
     Raises :class:`~repro.plan.ir.PlanError` when the query cannot be
-    planned; callers with a boxed fallback catch it.
+    planned.
     """
     from repro.core.symbols import global_table
 

@@ -14,13 +14,14 @@ and memoizes the two physical artifacts plans read:
   :class:`~repro.plan.ir.ScanNode` a plan reads whole (a plan's first scan,
   a cross product's build side), keyed by the scan's shape.
 
-Data sources themselves are cached process-wide keyed by the fact set's
-*value* (an ``IFactSet`` hashes by its frozenset of fact IDs), so evaluating
-many queries over one database — or re-evaluating a workload over the same
-possible worlds — reuses every index instead of rebuilding it per call.
-This is the structural win ``benchmarks/bench_e18_plan.py`` measures: the
-backtracking evaluator re-derives candidate sets per query per world, while
-the plan path amortizes them across the whole workload.
+A data source lives on its fact set (:meth:`IFactSet.derived
+<repro.core.factset.IFactSet.derived>`), so evaluating many queries over
+one database — or re-evaluating a workload over the same possible worlds —
+reuses every index instead of rebuilding it per call, and a superseded
+version's indexes leave the heap with the version. This is the structural
+win ``benchmarks/bench_e18_plan.py`` measures: the backtracking evaluator
+re-derives candidate sets per query per world, while the plan path
+amortizes them across the whole workload.
 
 The decode back to boxed answers (:class:`~repro.model.atoms.Atom` facts for
 conjunctive queries, rows of :class:`~repro.model.terms.Constant` for the
@@ -29,12 +30,11 @@ algebra) happens once per *distinct answer*, not per derivation.
 
 from __future__ import annotations
 
+import threading
 from collections import OrderedDict
 from operator import itemgetter
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from repro.cache import cache_registry
-from repro.cache.runtime import LRUMemo
 from repro.core.factset import IFactSet
 from repro.plan.ir import (
     CompiledPlan,
@@ -59,12 +59,18 @@ _EMPTY_ROWS: Rows = ()
 
 
 class PlanDataSource:
-    """Cached column indexes and scan rows over one immutable fact set."""
+    """Cached column indexes and scan rows over one immutable fact set.
 
-    __slots__ = ("facts", "table", "_scans", "_columns", "_sizes")
+    Holds the set's ``grouped()`` tuples and symbol table, never the set:
+    the source lives on its fact set and must not keep it alive.
+    """
+
+    __slots__ = (
+        "grouped", "table", "_scans", "_columns", "_sizes", "__weakref__",
+    )
 
     def __init__(self, facts: IFactSet):
-        self.facts = facts
+        self.grouped = facts.grouped()
         self.table = facts.table
         self._scans: Dict[Tuple, Rows] = {}
         self._columns: Dict[Tuple[int, int, Tuple[int, ...]], Index] = {}
@@ -89,7 +95,7 @@ class PlanDataSource:
             )
             bucket = self.column_index(node.rid, node.arity, positions).get(key)
             return _scan_filter(node, bucket) if bucket else _EMPTY_ROWS
-        grouped = self.facts.grouped().get(node.rid)
+        grouped = self.grouped.get(node.rid)
         if not grouped:
             return _EMPTY_ROWS
         if node.plain:
@@ -109,7 +115,7 @@ class PlanDataSource:
         index = self._columns.get(key)
         if index is None:
             building = _build_index(
-                self.facts.grouped().get(rid, _EMPTY_ROWS), positions, arity
+                self.grouped.get(rid, _EMPTY_ROWS), positions, arity
             )
             # Buckets are frozen to tuples: the index lives as long as the
             # data source, and the garbage collector stops tracking a tuple
@@ -187,63 +193,32 @@ def _build_index(
     return building
 
 
-# -- the process-wide data-source cache ----------------------------------------
+# -- one data source per fact set --------------------------------------------
 
-#: Bound on retained data sources. Each holds column indexes and scan rows
-#: for one database; per-world evaluation loops cycle through far fewer live
-#: worlds than this at a time.
-MAX_DATA_SOURCES = 128
+_BUILT_LOCK = threading.Lock()
+_BUILT = 0
 
 
-def _source_sizeof(facts: IFactSet, source: PlanDataSource) -> int:
-    """Price a data source by its world: rows and indexes scale with facts.
-
-    Column indexes and scan rows are materialized lazily, so an exact figure
-    would drift after store time; a per-fact estimate (row tuples plus an
-    index entry's dict overhead) keeps accounting stable and monotone in
-    world size, which is what budget-driven eviction needs.
-    """
-    return 256 + 160 * len(facts)
-
-
-_SOURCES = cache_registry().enroll(
-    LRUMemo(
-        maxsize=MAX_DATA_SOURCES, name="plan.data_sources", sizeof=_source_sizeof
-    )
-)
+def _build_source(facts: IFactSet) -> PlanDataSource:
+    global _BUILT
+    with _BUILT_LOCK:
+        _BUILT += 1
+    return PlanDataSource(facts)
 
 
 def data_source_for(facts: IFactSet) -> PlanDataSource:
-    """The shared :class:`PlanDataSource` for a fact set (LRU, by value).
+    """The :class:`PlanDataSource` of a fact set, built on first use.
 
-    Two databases with equal content share one source — re-enumerated
-    possible worlds land on already-built indexes. Keyed by the fact set
-    itself, so the invalidation bus retires an entry by key match when its
-    world is retired.
+    It is kept on the fact set itself, so it lives exactly as long as the
+    set: every query over one database shares it, and it is freed with
+    the database.
     """
-    return _SOURCES.get_or_create(facts, lambda: PlanDataSource(facts))
+    return facts.derived(_build_source)
 
 
-def data_source_count() -> int:
-    """How many data sources are currently cached (for ``--stats``)."""
-    return len(_SOURCES)
-
-
-def clear_data_sources() -> None:
-    """Drop every cached data source (tests and benchmarks reset with it)."""
-    _SOURCES.clear()
-
-
-def discard_data_source(facts: IFactSet) -> bool:
-    """Drop one fact set's cached data source, if present.
-
-    The shard layer's invalidation hook: a retired registry snapshot's
-    fragments will never be scanned again, so their column indexes and scan
-    rows can leave the LRU early instead of aging out. Kept callable
-    directly, but the invalidation bus reaches the same entries by key
-    match on the retired fact sets.
-    """
-    return _SOURCES.discard(facts)
+def data_sources_built() -> int:
+    """How many data sources were built in this process (for ``--stats``)."""
+    return _BUILT
 
 
 # -- the interpreter -----------------------------------------------------------
@@ -425,8 +400,7 @@ def evaluate_rows(algebra_query, database) -> FrozenSet[Tuple]:
     """Algebra-tree evaluation to rows of boxed constants.
 
     Raises :class:`~repro.plan.ir.PlanError` for trees outside the compiled
-    vocabulary; :meth:`repro.algebra.ast.AlgebraQuery.evaluate` catches it
-    and falls back to the boxed interpreter.
+    vocabulary.
     """
     from repro.model.terms import Constant
     from repro.plan.compiler import plan_for

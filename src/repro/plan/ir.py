@@ -35,10 +35,9 @@ from repro.exceptions import BuiltinError, ReproError
 class PlanError(ReproError):
     """A query (or query fragment) the plan compiler cannot handle.
 
-    Raised during compilation only; callers fall back to the boxed
-    evaluators (the algebra interpreter keeps its recursive ``evaluate_boxed``
-    exactly for this), so an unsupported construct degrades to the old path
-    instead of failing.
+    Raised during compilation only, and never caught into a fallback: an
+    unsupported construct fails loudly instead of silently taking another
+    path.
     """
 
 

@@ -15,11 +15,10 @@ per-column value-count maps, which buys two things:
   counts fact-by-fact instead of rescanning, whenever the delta is small
   relative to the extension.
 
-Catalog entries are **content-addressed**: statistics are keyed by the fact
-set's value, so an entry can never be wrong for its key — eviction and the
-service's :class:`~repro.service.registry.RegistryDiff`-driven
-:func:`discard_statistics` calls are cache hygiene, never correctness.
-Everything here speaks interned IDs; values decode only in
+A fact set's statistics live on the set (:meth:`IFactSet.derived
+<repro.core.factset.IFactSet.derived>`): profiled once, read by every plan
+compiled against it, and freed with it. Everything here speaks interned
+IDs; values decode only in
 :meth:`ColumnStats.explain_mcv` for EXPLAIN output.
 """
 
@@ -29,17 +28,11 @@ import threading
 from collections import Counter
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.cache import cache_registry
-from repro.cache.runtime import LRUMemo
 from repro.core.factset import IFactSet
 
 #: Most-common-value sketch width: enough to capture heavy hitters in the
 #: skewed benchmark workloads without bloating the catalog.
 MCV_WIDTH = 8
-
-#: Keep at most this many profiled fact sets (the per-world loops cycle
-#: through far fewer live worlds at a time; mirrors ``MAX_DATA_SOURCES``).
-MAX_STATISTICS = 128
 
 #: Only maintain incrementally when the delta is at most this fraction of
 #: the derived set's size — past that, a fresh scan is cheaper and keeps
@@ -137,7 +130,9 @@ class RelationStats:
 class TableStatistics:
     """Per-relation statistics of one fact set, ready for the cost model."""
 
-    __slots__ = ("table", "total_facts", "relations", "incremental")
+    __slots__ = (
+        "table", "total_facts", "relations", "incremental", "__weakref__",
+    )
 
     def __init__(self, table, relations: Dict[int, RelationStats], total: int,
                  incremental: bool = False):
@@ -195,41 +190,16 @@ class TableStatistics:
         )
 
 
-# -- the process-wide statistics catalog ---------------------------------------
+# -- one catalog entry per fact set --------------------------------------------
 
-def _statistics_sizeof(facts: IFactSet, stats: TableStatistics) -> int:
-    """Price a catalog entry: count maps scale with the profiled facts."""
-    return 400 + 120 * max(stats.total_facts, 1)
-
-
-_CATALOG = cache_registry().enroll(
-    LRUMemo(
-        maxsize=MAX_STATISTICS,
-        name="plan.statistics",
-        sizeof=_statistics_sizeof,
-    )
-)
-# Profile/incremental counters sit outside the memo's uniform stats; the
-# lock only guards these two ints (the catalog itself is internally locked).
+# Profile/incremental counters; the lock only guards these two ints.
 _COUNTER_LOCK = threading.Lock()
 _PROFILE_COUNT = 0
 _INCREMENTAL_COUNT = 0
 
 
-def statistics_for(facts: IFactSet) -> TableStatistics:
-    """The cached :class:`TableStatistics` of a fact set (LRU, by value).
-
-    A derivation-hinted fact set whose parent is already profiled updates
-    incrementally when the delta is small (``INCREMENTAL_DELTA_FRACTION``);
-    everything else is profiled from scratch. Both outcomes land in the
-    catalog, so per-world loops over perturbed databases profile each world
-    at delta cost, not extension cost. Keyed by the fact set itself, so the
-    invalidation bus retires entries by key match on retired worlds.
-    """
+def _build_statistics(facts: IFactSet) -> TableStatistics:
     global _PROFILE_COUNT, _INCREMENTAL_COUNT
-    hit, stats = _CATALOG.lookup(facts)
-    if hit:
-        return stats
     base: Optional[TableStatistics] = None
     derivation = facts.derivation()
     if derivation is not None:
@@ -237,9 +207,7 @@ def statistics_for(facts: IFactSet) -> TableStatistics:
         if derivation.delta_size() <= threshold:
             parent = derivation.parent()
             if parent is not None:
-                # Opportunistic: neither counts a hit nor refreshes the
-                # parent's recency — incremental reuse is a bonus, not a use.
-                base = _CATALOG.peek(parent)
+                base = parent.built(_build_statistics)
     if base is not None:
         stats = TableStatistics.derive(
             base, facts, derivation.added, derivation.removed
@@ -250,40 +218,32 @@ def statistics_for(facts: IFactSet) -> TableStatistics:
         stats = TableStatistics.profile(facts)
         with _COUNTER_LOCK:
             _PROFILE_COUNT += 1
-    _CATALOG.store(facts, stats)
     return stats
 
 
-def cached_statistics(facts: IFactSet) -> Optional[TableStatistics]:
-    """The catalog entry for *facts* if present, without profiling."""
-    return _CATALOG.peek(facts)
+def statistics_for(facts: IFactSet) -> TableStatistics:
+    """The :class:`TableStatistics` of a fact set, built on first use.
 
-
-def discard_statistics(facts: IFactSet) -> bool:
-    """Drop one catalog entry (the RegistryDiff invalidation path).
-
-    Entries are content-addressed so this is hygiene, not correctness: the
-    service calls it for retired snapshots' certain databases to keep the
-    catalog from silting up under registry churn. Kept callable directly,
-    but the invalidation bus reaches the same entries by key match.
+    A derivation-hinted fact set whose parent is still alive and already
+    profiled updates the parent's statistics incrementally when the delta
+    is small (``INCREMENTAL_DELTA_FRACTION``); everything else is profiled
+    from scratch. Either way the result is kept on the fact set, so
+    per-world loops over perturbed databases profile each world once, at
+    delta cost where they can.
     """
-    return _CATALOG.discard(facts)
+    return facts.derived(_build_statistics)
 
 
-def clear_statistics() -> None:
-    """Drop the whole catalog (tests and benchmarks reset with it)."""
-    global _PROFILE_COUNT, _INCREMENTAL_COUNT
-    _CATALOG.clear()
-    with _COUNTER_LOCK:
-        _PROFILE_COUNT = 0
-        _INCREMENTAL_COUNT = 0
+def cached_statistics(facts: IFactSet) -> Optional[TableStatistics]:
+    """The fact set's statistics if already built, without profiling."""
+    return facts.built(_build_statistics)
 
 
 def statistics_counters() -> Dict[str, int]:
-    """Catalog health counters for ``plan_stats()`` / service ``stats()``."""
+    """Catalog build counters for ``plan_stats()`` / service ``stats()``."""
     with _COUNTER_LOCK:
         return {
-            "cached": len(_CATALOG),
+            "built": _PROFILE_COUNT + _INCREMENTAL_COUNT,
             "profiled": _PROFILE_COUNT,
             "incremental": _INCREMENTAL_COUNT,
         }

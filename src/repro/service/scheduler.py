@@ -172,15 +172,6 @@ class SnapshotContext:
             self.executor = ShardExecutor(store)
         return self.executor
 
-    def derived_tags(self) -> set:
-        """Bus tags of the fact sets this context built caches from."""
-        tags: set = set()
-        if self.certain_db is not None:
-            tags.add(self.certain_db.core())
-        if self.executor is not None:
-            tags.update(self.executor.sharded.built_fragments())
-        return tags
-
 
 class RequestScheduler:
     """The admission queue and its single batching worker."""
@@ -625,29 +616,21 @@ class RequestScheduler:
                 del self._contexts[oldest]
         return context
 
-    def retire_version_tags(self, before_version: int) -> set:
-        """Drop the contexts of versions before *before_version*; return tags.
+    def retire_versions(self, before_version: int) -> None:
+        """Drop the contexts of versions before *before_version*.
 
         Superseded versions will never serve another request, so their
         contexts — engine, certain database, shard executor — are dropped
-        here. The *derived artifacts* they seeded (statistics, data
-        sources, partition layouts) live in the enrolled
-        caches, keyed or tagged by fact set. The returned tag set — each
-        retired certain core plus every fragment a retired sharded store
-        materialized — is what the invalidation bus needs to clear all of
-        them in one :meth:`~repro.cache.CacheRegistry.invalidate_tags`
-        call. Retired sharded stores are counted under
+        here. The plan-layer state built from them (data sources,
+        statistics, shard fragments) lives on their fact sets and is freed
+        with them. Retired sharded stores are counted under
         ``shard_stores_discarded``.
         """
-        tags: set = set()
         stores = 0
         for key in [k for k in self._contexts if k[0] < before_version]:
-            context = self._contexts.pop(key)
-            tags |= context.derived_tags()
-            stores += context.executor is not None
+            stores += self._contexts.pop(key).executor is not None
         if stores:
             self.metrics.counter("shard_stores_discarded").inc(stores)
-        return tags
 
     # -- resolution --------------------------------------------------------------
 

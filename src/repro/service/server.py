@@ -106,7 +106,7 @@ class MediatorService:
         """Admit without awaiting (returns the response future)."""
         return await self.scheduler.submit(facts, timeout=timeout, query=query)
 
-    # -- registry mutations (thread-safe; retire the old version's caches) ------
+    # -- registry mutations (thread-safe; retire the old version's contexts) ----
 
     def register_source(self, source: SourceDescriptor) -> RegistryDiff:
         _snapshot, diff = self.registry.register(source)
@@ -129,23 +129,15 @@ class MediatorService:
         return diff
 
     def _after_mutation(self, diff: RegistryDiff) -> None:
-        """Drive the invalidation bus from one registry diff.
+        """Retire the superseded versions' contexts after one registry diff.
 
-        The fact sets of every per-version store the scheduler gave up,
-        pushed through one ``invalidate_tags`` call, retire every derived
-        artifact of the old version across the enrolled caches (statistics,
-        data sources, partitions). The engine memo is left alone: its keys
-        are the counting problems themselves, so no line can go stale.
+        Their derived plan state (statistics, data sources, shard
+        fragments) lives on their fact sets and leaves with them. The
+        engine memo is left alone: its keys are the counting problems
+        themselves, so no line can go stale.
         """
-        per_cache = cache_registry().invalidate_tags(
-            self.scheduler.retire_version_tags(diff.new_version)
-        )
-        dropped = per_cache.get("plan.statistics", 0)
+        self.scheduler.retire_versions(diff.new_version)
         self.metrics.counter("registry_mutations").inc()
-        self.metrics.counter("plan_statistics_discarded").inc(dropped)
-        self.metrics.counter("cache_entries_invalidated").inc(
-            sum(per_cache.values())
-        )
         self.metrics.gauge("registry_version").set(diff.new_version)
         self.metrics.histogram("touched_blocks").observe(
             len(diff.touched_blocks)
@@ -160,7 +152,8 @@ class MediatorService:
 
             {"registry": {...}, "metrics": {counters, gauges, histograms},
              "gateway": {reads, lanes}, "tracing": {...},
-             "plan": {cache, data_sources}, "shard": {shards, counters},
+             "plan": {cache, data_sources_built, statistics, optimizer},
+             "shard": {shards, counters},
              "cache": {budget_bytes, bytes, hits, misses, evictions,
                        invalidations, caches: {name: {...}}},
              "resilience": {sources, transitions, config}}

@@ -37,10 +37,8 @@ from repro.shard.merge import (
     merge_ordered,
 )
 from repro.shard.partition import (
-    MAX_PARTITIONS,
     PartitionSpec,
     bucket_of_fact,
-    clear_partitions,
     partition_facts,
     stable_bucket,
 )
@@ -48,7 +46,6 @@ from repro.shard.planner import ShardPlan, explain_shards, plan_shards
 from repro.shard.store import ShardedDatabase
 
 __all__ = [
-    "MAX_PARTITIONS",
     "PartitionSpec",
     "ShardExecutor",
     "ShardPlan",
@@ -56,7 +53,6 @@ __all__ = [
     "bucket_of_fact",
     "canonical_answer_key",
     "canonical_order",
-    "clear_partitions",
     "evaluate_fragment",
     "evaluate_sharded",
     "explain_shards",

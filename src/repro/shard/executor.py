@@ -7,9 +7,9 @@ the per-fragment answers through :mod:`repro.shard.merge`.
 
 Fragments are evaluated in-process, one after another, through the plan
 pipeline. They are plain :class:`~repro.core.factset.IFactSet` values, so
-scan rows, join indexes, and statistics are cached per fragment by the
-existing plan-layer LRUs — the pruning win (touch ``1/N`` of the store)
-needs no parallelism at all.
+scan rows, column indexes, and statistics are kept on each fragment like
+on any fact set — the pruning win (touch ``1/N`` of the store) needs no
+parallelism at all.
 
 Process-wide counters (queries, fragments, pruned shards, strategy mix)
 feed the service's ``stats()`` surface via :func:`shard_stats`.
@@ -122,8 +122,7 @@ class ShardExecutor:
 def evaluate_sharded(query, database, spec) -> FrozenSet[Atom]:
     """One-shot sharded evaluation of *query* over a boxed database.
 
-    Convenience for per-world loops: the partition itself is cached by
-    ``(facts, spec)`` value, so re-enumerated equal worlds reuse their
-    shard layout the same way they reuse scan rows.
+    Partitions the database afresh on every call; a caller that asks
+    several queries of one database keeps a :class:`ShardExecutor`.
     """
     return ShardExecutor(ShardedDatabase(database, spec)).answer(query)

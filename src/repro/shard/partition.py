@@ -20,8 +20,6 @@ from __future__ import annotations
 import hashlib
 from typing import Any, Dict, Mapping, Optional, Tuple
 
-from repro.cache import cache_registry
-from repro.cache.runtime import LRUMemo
 from repro.core.factset import IFactSet
 from repro.exceptions import ModelError
 
@@ -130,25 +128,6 @@ class PartitionSpec:
         return f"PartitionSpec({self.num_shards}{keys}{default})"
 
 
-#: Bound on cached partitions; per-world loops cycle through far fewer
-#: live worlds than this (mirrors the plan layer's data-source LRU).
-MAX_PARTITIONS = 64
-
-
-def _partition_sizeof(key: Tuple, shards: Tuple[IFactSet, ...]) -> int:
-    """Price a layout: one frozenset of fact IDs per shard."""
-    return 200 + 64 * len(shards) + 96 * sum(len(s) for s in shards)
-
-
-_PARTITIONS = cache_registry().enroll(
-    LRUMemo(
-        maxsize=MAX_PARTITIONS,
-        name="shard.partitions",
-        sizeof=_partition_sizeof,
-    )
-)
-
-
 def partition_facts(
     facts: IFactSet, spec: PartitionSpec
 ) -> Tuple[IFactSet, ...]:
@@ -160,17 +139,11 @@ def partition_facts(
     decoded values, never raw IDs, so two processes interning the same
     database in different orders agree on the layout.
 
-    Results are LRU-cached by ``(facts, spec)`` *value*: re-enumerated
-    equal worlds reuse their shard layout the way they reuse scan rows.
-    Entries are tagged with the partitioned fact set, so the invalidation
-    bus retires every spec's layout of a retired world in one call.
+    Not cached here: :meth:`~repro.shard.store.ShardedDatabase.shards`
+    keeps each store's base partition for the store's lifetime.
     """
     if spec.num_shards == 1:
         return (facts,)
-    cache_key = (facts, spec)
-    hit, cached = _PARTITIONS.lookup(cache_key)
-    if hit:
-        return cached
     table = facts.table
     fact_tuple = table.fact_tuple
     constant_value = table.constant_value
@@ -190,16 +163,9 @@ def partition_facts(
             buckets[
                 stable_bucket(constant_value(t[1 + position]), spec.num_shards)
             ].add(fid)
-    shards = tuple(
+    return tuple(
         IFactSet(table, frozenset(bucket)) for bucket in buckets  # boxed-ok: ints
     )
-    _PARTITIONS.store(cache_key, shards, tags=(facts,))
-    return shards
-
-
-def clear_partitions() -> None:
-    """Drop the partition cache (tests and benchmarks reset with it)."""
-    _PARTITIONS.clear()
 
 
 def bucket_of_fact(facts: IFactSet, spec: PartitionSpec, fid: int) -> int:

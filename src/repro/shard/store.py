@@ -13,17 +13,16 @@ and at most once each:
   the base partition key disagrees with the join key.
 
 Every fragment is a plain :class:`~repro.core.factset.IFactSet`, so the plan
-executor's per-fact-set caches (scan rows, join indexes, statistics) apply
-to fragments exactly as they do to whole databases — a fragment reused
-across queries pays its build cost once. :meth:`built_fragments` exposes
-everything materialized so the service's ``RegistryDiff`` invalidation path
-can retire a superseded snapshot's fragments from those caches.
+layer's per-fact-set state (scan rows, column indexes, statistics) applies
+to fragments exactly as it does to whole databases — a fragment reused
+across queries pays its build cost once, and the store's fragments and
+their state are freed with the store.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Optional, Tuple
 
 from repro.core.factset import IFactSet
 from repro.exceptions import ModelError
@@ -153,23 +152,6 @@ class ShardedDatabase:
         )
 
     # -- lifecycle ---------------------------------------------------------------
-
-    def built_fragments(self) -> Tuple[IFactSet, ...]:
-        """Every fact set this store has materialized so far.
-
-        The invalidation hook: when a registry snapshot is retired, each of
-        these may have plan-layer cache entries (data sources, statistics)
-        worth discarding.
-        """
-        out: List[IFactSet] = []
-        with self._lock:
-            if self._shards is not None:
-                out.extend(self._shards)
-            for fragments in self._broadcast.values():
-                out.extend(fragments)
-            for fragments in self._repartition.values():
-                out.extend(fragments)
-        return tuple(out)
 
     def layout_counters(self) -> Dict[str, int]:
         """Materialization counters (for ``stats()`` surfaces)."""

@@ -3,10 +3,12 @@
 import pytest
 
 from repro.exceptions import QueryError
+from repro.plan import PlanError
 from repro.model import Constant, GlobalDatabase, fact
 from repro.algebra import (
     Col,
     Comparison,
+    Condition,
     Product,
     Projection,
     RelationScan,
@@ -57,6 +59,18 @@ class TestSelection:
     def test_fluent_select(self, db):
         q = RelationScan("R", 2).select(Comparison(Col(1), "=", "a"))
         assert q.evaluate(db) == rows((1, "a"))
+
+    def test_uncompilable_condition_fails_loudly(self, db):
+        # The compiler cannot key a Condition subclass it does not know;
+        # evaluate raises instead of silently interpreting the tree.
+        class FirstIsOne(Condition):
+            def evaluate(self, row):
+                return row[0].value == 1
+
+        q = Selection(FirstIsOne(), RelationScan("R", 2))
+        assert q.evaluate_boxed(db) == rows((1, "a"))
+        with pytest.raises(PlanError, match="cannot plan Selection"):
+            q.evaluate(db)
 
 
 class TestProjection:

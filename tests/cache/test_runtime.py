@@ -1,10 +1,10 @@
-"""The cache runtime: budget, tags, stats, and lock discipline.
+"""The cache runtime: budget, invalidation, stats, and lock discipline.
 
 Covers the tentpole guarantees of ``repro.cache``: the global byte budget
 evicts the globally least-recent entry across enrolled caches (not per
-cache), tag- and key-match invalidation retire exactly the derived
-entries, the stats tree aggregates uniformly, and concurrent stores
-against an active budget neither deadlock nor corrupt accounting.
+cache), key-match invalidation retires exactly the named entries, the
+stats tree aggregates uniformly, and concurrent stores against an active
+budget neither deadlock nor corrupt accounting.
 """
 
 from __future__ import annotations
@@ -79,25 +79,28 @@ class TestLRUMemo:
         assert stats.evictions == 0 and stats.bytes == 0
 
     def test_invalidate_by_tag_and_by_key(self):
+        # A tag matches the entry it keys; unknown and unhashable tags
+        # match nothing.
         memo = LRUMemo(16)
-        memo.store("layout", "x", tags=("world1",))
-        memo.store("other", "y", tags=("world2",))
-        memo.store("world1", "z")  # key-match: content-addressed entry
-        dropped = memo.invalidate_tags(["world1"])
-        assert dropped == 2
-        assert "other" in memo and "layout" not in memo and "world1" not in memo
-        assert memo.stats().invalidations == 2
+        memo.store("layout", "x")
+        memo.store("other", "y")
+        dropped = memo.invalidate_tags(["layout", "missing", ["unhashable"]])
+        assert dropped == 1
+        assert "other" in memo and "layout" not in memo
+        assert memo.stats().invalidations == 1
 
     def test_tag_index_survives_eviction_and_replacement(self):
-        memo = LRUMemo(2)
-        memo.store("a", 1, tags=("t",))
-        memo.store("b", 2, tags=("t",))
+        # Invalidation after an eviction and a replacement drops exactly
+        # the resident entries it names, and bytes stay consistent.
+        memo = LRUMemo(2, sizeof=lambda k, v: 10)
+        memo.store("a", 1)
+        memo.store("b", 2)
         memo.store("c", 3)  # evicts "a"
-        memo.store("b", 4)  # replacing without tags unindexes the old entry
-        assert memo.invalidate_tags(["t"]) == 0  # nothing tagged "t" remains
-        memo.store("b", 5, tags=("t",))  # re-tagging indexes again
-        assert memo.invalidate_tags(["t"]) == 1
+        memo.store("b", 4)  # replaces "b" without double counting
+        assert memo.invalidate_tags(["a"]) == 0
+        assert memo.invalidate_tags(["b"]) == 1
         assert len(memo) == 1 and "c" in memo
+        assert memo.bytes == 10
 
     def test_rejects_nonpositive_maxsize(self):
         with pytest.raises(ValueError):
@@ -192,11 +195,11 @@ class TestCacheRegistryBus:
 
     def test_invalidate_tags_reports_per_cache_counts(self):
         registry, a, b = make_registry_pair()
-        a.store("k1", 1, tags=("w",))
-        a.store("k2", 2, tags=("w",))
-        b.store("w", 3)  # key match
+        a.store("k1", 1)
+        a.store("w", 2)
+        b.store("w", 3)
         b.store("other", 4)
-        assert registry.invalidate_tags(["w"]) == {"a": 2, "b": 1}
+        assert registry.invalidate_tags(["w", "k1"]) == {"a": 2, "b": 1}
         assert registry.invalidate_tags(["w"]) == {}
         assert registry.invalidate_tags([]) == {}
 
@@ -244,22 +247,14 @@ class TestCacheRegistryBus:
 
 class TestProcessRegistry:
     def test_all_seven_shared_caches_are_enrolled(self):
-        # Importing the layers enrolls their five module-global caches.
+        # Two shared caches remain, the ones whose keys outlive any one
+        # database; per-database state lives on its fact set instead.
         import repro.confidence.engine.memo  # noqa: F401
-        import repro.plan.cache  # noqa: F401
-        import repro.plan.executor  # noqa: F401
-        import repro.plan.statistics  # noqa: F401
-        import repro.shard.executor  # noqa: F401
-        import repro.shard.partition  # noqa: F401
+        import repro.plan  # noqa: F401
+        import repro.shard  # noqa: F401
 
         names = {memo.name for memo in cache_registry().caches()}
-        assert {
-            "engine.memo",
-            "plan.plans",
-            "plan.data_sources",
-            "plan.statistics",
-            "shard.partitions",
-        } <= names
+        assert names == {"engine.memo", "plan.plans"}
 
     def test_shared_memo_is_the_enrolled_instance(self):
         from repro.confidence.engine.memo import shared_memo

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+import threading
 from array import array
 
 from repro.core import IFactSet, SymbolTable
@@ -69,3 +71,51 @@ def test_empty_factset():
     assert len(empty) == 0
     assert list(empty) == []
     assert empty.relations() == ()
+
+
+def test_derived_state_is_built_once_per_set_and_kept_on_it():
+    table, _, _, fids_r, _ = make_table()
+    facts = IFactSet(table, fids_r)
+    calls = []
+
+    def build(fs):
+        calls.append(fs)
+        return object()
+
+    assert facts.built(build) is None
+    value = facts.derived(build)
+    assert facts.derived(build) is value is facts.built(build)
+    assert calls == [facts]
+    # An equal set is another object and starts with nothing built.
+    assert IFactSet(table, fids_r).built(build) is None
+
+
+def test_racing_first_use_hands_every_thread_one_value():
+    # More threads than cores and a short switch interval: a lost update
+    # on first use would hand two threads different values.
+    table, _, _, fids_r, _ = make_table()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _round in range(20):
+            facts = IFactSet(table, fids_r)
+            seen = []
+            start = threading.Barrier(8)
+
+            def build(fs):
+                return object()
+
+            def worker():
+                start.wait(timeout=10)
+                seen.append(facts.derived(build))
+
+            threads = [threading.Thread(target=worker) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=10)
+            assert not any(t.is_alive() for t in threads)
+            assert len(seen) == 8
+            assert len({id(v) for v in seen}) == 1
+    finally:
+        sys.setswitchinterval(interval)

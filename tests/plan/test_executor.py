@@ -1,6 +1,7 @@
-"""Executor tests: answers, data-source sharing, caches, boundaries."""
+"""Executor tests: answers, data-source lifetimes, caches, boundaries."""
 
 import re
+import weakref
 
 import pytest
 
@@ -10,11 +11,8 @@ from repro.model import GlobalDatabase, fact
 from repro.model.terms import Constant
 from repro.core import global_table
 from repro.plan import (
-    MAX_DATA_SOURCES,
-    clear_data_sources,
-    clear_statistics,
-    data_source_count,
     data_source_for,
+    data_sources_built,
     evaluate,
     evaluate_rows,
     explain,
@@ -35,13 +33,6 @@ def db():
             fact("F", 3, "y"),
         ]
     )
-
-
-@pytest.fixture(autouse=True)
-def fresh_sources():
-    clear_data_sources()
-    yield
-    clear_data_sources()
 
 
 class TestAnswers:
@@ -87,12 +78,18 @@ class TestAnswers:
 
 
 class TestDataSourceSharing:
-    def test_equal_content_shares_one_source(self, db):
+    def test_equal_content_builds_its_own_source(self, db):
+        # A source lives on its fact set: an equal-content twin is another
+        # set and builds its own, while every lookup on one set shares one.
         twin = GlobalDatabase(list(db.facts()))
+        built = data_sources_built()
         source_a = data_source_for(db.core())
+        assert data_source_for(db.core()) is source_a
         source_b = data_source_for(twin.core())
-        assert source_a is source_b
-        assert data_source_count() == 1
+        assert source_b is not source_a
+        assert data_sources_built() - built == 2
+        q = parse_rule("ans(x, z) <- E(x, y), F(y, z)")
+        assert evaluate(q, twin) == evaluate(q, db)
 
     def test_scan_rows_cached_across_queries(self, db):
         evaluate(parse_rule("ans(x, y) <- E(x, y)"), db)
@@ -113,36 +110,22 @@ class TestDataSourceSharing:
         assert indexes_after == indexes_before
 
     def test_source_registry_is_bounded(self):
-        for i in range(MAX_DATA_SOURCES + 10):
-            data_source_for(GlobalDatabase([fact("R", i)]).core())
-        assert data_source_count() == MAX_DATA_SOURCES
+        # Nothing outside a fact set holds its source: sources of dropped
+        # databases leave the heap with them, however many were built.
+        refs = [
+            weakref.ref(data_source_for(GlobalDatabase([fact("R", i)]).core()))
+            for i in range(138)
+        ]
+        assert not any(ref() for ref in refs)
 
-    def test_eviction_exactly_at_capacity(self):
-        # Filling to exactly MAX_DATA_SOURCES evicts nothing; the
-        # (MAX+1)-th distinct source evicts exactly the least recently
-        # used one, and only it.
-        first = GlobalDatabase([fact("R", "first")])
-        source = data_source_for(first.core())
-        victim_db = GlobalDatabase([fact("R", 0)])
+    def test_dropped_source_rebuilds_with_identical_answers(self):
         q = parse_rule("ans(x) <- R(x)")
+        victim_db = GlobalDatabase([fact("R", 0)])
         answers_before = evaluate(q, victim_db)
-        victim = data_source_for(victim_db.core())
-        for i in range(1, MAX_DATA_SOURCES - 1):
-            data_source_for(GlobalDatabase([fact("R", i)]).core())
-        assert data_source_count() == MAX_DATA_SOURCES
-        assert data_source_for(first.core()) is source  # still resident
-        assert data_source_for(victim_db.core()) is victim
-        # refresh everything except `victim`, making it the LRU entry
-        data_source_for(first.core())
-        for i in range(1, MAX_DATA_SOURCES - 1):
-            data_source_for(GlobalDatabase([fact("R", i)]).core())
-        data_source_for(GlobalDatabase([fact("R", "overflow")]).core())
-        assert data_source_count() == MAX_DATA_SOURCES
-        assert data_source_for(first.core()) is source  # survivors intact
-        # the evicted entry rebuilds as a fresh object...
-        rebuilt = data_source_for(victim_db.core())
-        assert rebuilt is not victim
-        # ...and answers through the rebuilt source are identical
+        ref = weakref.ref(data_source_for(victim_db.core()))
+        # A fresh fact set over the same interned IDs starts empty.
+        victim_db = GlobalDatabase(list(victim_db.facts()))
+        assert ref() is None
         assert evaluate(q, victim_db) == answers_before == frozenset(
             {fact("ans", 0)}
         )
@@ -230,7 +213,6 @@ class TestExplainAnalyzeActuals:
         ],
     )
     def test_actual_row_counts(self, database, rule, actuals):
-        clear_statistics()
         text = explain_analyze(parse_rule(rule), database)
         assert actual_counts(text) == actuals
 

@@ -4,7 +4,6 @@ from repro.confidence.engine.memo import LRUMemo
 from repro.core import global_table
 from repro.model import GlobalDatabase, fact
 from repro.plan import (
-    clear_statistics,
     compile_query,
     data_source_for,
     execute_plan,
@@ -78,7 +77,6 @@ class TestFeedback:
 
 class TestJoinOrder:
     def setup_method(self):
-        clear_statistics()
         reset_optimizer_stats()
 
     def test_optimizer_scans_the_small_relation_first(self):
@@ -131,7 +129,6 @@ class TestJoinOrder:
 
 class TestReoptimization:
     def setup_method(self):
-        clear_statistics()
         reset_optimizer_stats()
 
     def make_worlds(self):
@@ -187,7 +184,6 @@ class TestReoptimization:
 
 class TestExplainAnalyze:
     def setup_method(self):
-        clear_statistics()
         reset_optimizer_stats()
 
     def test_analyze_matches_execution(self):

@@ -1,13 +1,13 @@
 """The statistics catalog: profiling, incremental maintenance, edge cases."""
 
+import weakref
+
 from repro.model import GlobalDatabase, fact
 from repro.plan.statistics import (
     ColumnStats,
     RelationStats,
     TableStatistics,
     cached_statistics,
-    clear_statistics,
-    discard_statistics,
     statistics_counters,
     statistics_for,
 )
@@ -132,25 +132,28 @@ class TestIncremental:
         assert_same_statistics(base, TableStatistics.profile(base_core))
 
 
+def counter_deltas(before):
+    after = statistics_counters()
+    return {name: after[name] - before[name] for name in after}
+
+
 class TestCatalog:
-    def setup_method(self):
-        clear_statistics()
-
-    def teardown_method(self):
-        clear_statistics()
-
     def test_content_addressed_cache_hit(self):
+        before = statistics_counters()
         core = core_of(fact("R", "a"))
         first = statistics_for(core)
         assert statistics_for(core) is first
-        assert statistics_counters()["profiled"] == 1
+        assert counter_deltas(before) == {
+            "built": 1, "profiled": 1, "incremental": 0,
+        }
 
     def test_derived_set_maintains_incrementally(self):
         base_core = core_of(*(fact("R", "a", i) for i in range(20)))
+        before = statistics_counters()
         statistics_for(base_core)
         derived_core = base_core.without_ids(tuple(base_core)[:2])
         derived = statistics_for(derived_core)
-        counters = statistics_counters()
+        counters = counter_deltas(before)
         assert derived.incremental
         assert counters["incremental"] == 1
         assert counters["profiled"] == 1
@@ -158,32 +161,43 @@ class TestCatalog:
 
     def test_large_delta_falls_back_to_fresh_profile(self):
         base_core = core_of(*(fact("R", "a", i) for i in range(20)))
+        before = statistics_counters()
         statistics_for(base_core)
         derived_core = base_core.without_ids(tuple(base_core)[:18])
         derived = statistics_for(derived_core)
         assert not derived.incremental
-        assert statistics_counters()["profiled"] == 2
+        assert counter_deltas(before)["profiled"] == 2
+
+    def test_dropped_parent_falls_back_to_fresh_profile(self):
+        base_core = core_of(*(fact("R", "a", i) for i in range(20)))
+        statistics_for(base_core)
+        derived_core = base_core.without_ids(tuple(base_core)[:2])
+        del base_core
+        derived = statistics_for(derived_core)
+        assert not derived.incremental
+        assert_same_statistics(derived, TableStatistics.profile(derived_core))
 
     def test_statistics_after_snapshot_rollback(self):
         # Remove a delta, then roll it back: the rolled-back set is
-        # value-equal to the base, so the catalog must serve the base
-        # entry — and it must still describe the base exactly.
+        # value-equal to the base, and its statistics (derived from the
+        # removal's) must still describe the base exactly.
         base_core = core_of(*(fact("R", f"v{i}", i) for i in range(10)))
-        base_stats = statistics_for(base_core)
+        statistics_for(base_core)
         removed = tuple(base_core)[:3]
         derived_core = base_core.without_ids(removed)
         statistics_for(derived_core)
         rolled_back = derived_core.with_ids(removed)
         assert rolled_back == base_core
-        assert statistics_for(rolled_back) is base_stats
         assert_same_statistics(
             statistics_for(rolled_back), TableStatistics.profile(base_core)
         )
 
     def test_discard_statistics(self):
+        # A fact set's statistics are discarded with it: nothing else
+        # holds them.
         core = core_of(fact("R", "a"))
-        statistics_for(core)
-        assert cached_statistics(core) is not None
-        assert discard_statistics(core)
         assert cached_statistics(core) is None
-        assert not discard_statistics(core)
+        ref = weakref.ref(statistics_for(core))
+        assert cached_statistics(core) is ref()
+        del core
+        assert ref() is None

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.model import GlobalDatabase, fact
-from repro.plan import clear_data_sources, plan_for, shared_plan_cache
+from repro.plan import plan_for, shared_plan_cache
 from repro.plan import evaluate as plan_evaluate
 from repro.queries import evaluate_naive, parse_rule
 from repro.shard import PartitionSpec, ShardedDatabase, ShardExecutor
@@ -84,13 +84,14 @@ def test_index_probes_match_naive(db, rule, spec):
     query = parse_rule(rule)
     expected = evaluate_naive(query, db)
     for optimized in (True, False):
-        # Each mode starts cold: no cached plan, no built index.
+        # Each mode starts cold: no cached plan, and a fresh fact set with
+        # no index built.
         shared_plan_cache().clear()
-        clear_data_sources()
+        fresh = GlobalDatabase(db.facts())
         if not optimized:
             plan_for(query)  # a static plan, which later lookups hit
         for _round in ("cold", "warm"):
-            assert plan_evaluate(query, db) == expected, rule
-        executor = ShardExecutor(ShardedDatabase(db, spec))
+            assert plan_evaluate(query, fresh) == expected, rule
+        executor = ShardExecutor(ShardedDatabase(fresh, spec))
         for _round in ("cold", "warm"):
             assert executor.answer(query) == expected, rule

@@ -1,26 +1,28 @@
-"""One RegistryDiff, one bus call, every derived cache retired (regression).
+"""One RegistryDiff retires a version, and its derived state goes with it.
 
-Before the cache runtime, a registry mutation fanned out to three separate
-invalidation call-sites: memo keys, statistics and shard stores each had
-their own, and partitions had none. These tests pin
-the unified contract: a
-single mutation produces one tag set (:meth:`retire_version_tags`) and one
-``CacheRegistry.invalidate_tags`` call, after which *no* enrolled cache
-still holds an entry derived from the retired version's fact sets. The
-engine memo is not among them: its keys are the counting problems, so its
-lines never go stale.
+A version's derived plan state (data sources, statistics, shard fragments)
+lives on its fact sets, so the service only drops the superseded contexts
+(:meth:`~repro.service.scheduler.RequestScheduler.retire_versions`) and
+everything built from them becomes unreachable, with no cache to
+invalidate. The engine memo is not part of it: its keys are the counting
+problems, so its lines never go stale.
 """
 
 from __future__ import annotations
 
 import asyncio
+import weakref
 
-from repro.cache import cache_registry
+from repro.core import global_table
 from repro.model import fact
-from repro.plan.statistics import cached_statistics
+from repro.plan import (
+    data_source_for,
+    plan_key,
+    shared_plan_cache,
+    statistics_for,
+)
 from repro.queries import identity_view, parse_rule
 from repro.service import MediatorService, RequestStatus, SchedulerConfig
-from repro.shard.partition import _PARTITIONS
 from repro.sources import SourceDescriptor
 
 from tests.conftest import make_example51_collection
@@ -41,10 +43,23 @@ def extra_source():
     )
 
 
+def context_of(service, snapshot):
+    return service.scheduler._contexts[(snapshot.version, frozenset())]
+
+
+def derived_refs(context):
+    """Weak references to a context's certain core, its shard fragments,
+    and the data source and statistics of each."""
+    sets = [context.certain_db.core(), *context.executor.sharded.shards()]
+    return (
+        [weakref.ref(s) for s in sets]
+        + [weakref.ref(data_source_for(s)) for s in sets]
+        + [weakref.ref(statistics_for(s)) for s in sets]
+    )
+
+
 class TestSingleDiffClearsEverything:
     def test_one_mutation_retires_all_derived_entries(self):
-        registry = cache_registry()
-
         async def scenario():
             async with MediatorService(
                 make_example51_collection(), DOMAIN,
@@ -54,36 +69,18 @@ class TestSingleDiffClearsEverything:
                 response = await service.answer(QUERY)
                 assert response.status is RequestStatus.OK
                 await service.confidence([R_A])
-                old = service.registry.snapshot()
-                context = service.scheduler._contexts[
-                    (old.version, frozenset())
-                ]
-                core = context.certain_db.core()
-                executor = context.executor
-                fragments = executor.sharded.built_fragments()
-                partition_key = (executor.sharded.union_core(),
-                                 executor.sharded.spec)
-                # The warm state this test is about: every layer primed.
-                assert cached_statistics(core) is not None
-                assert fragments
-                assert _PARTITIONS.peek(partition_key) is not None
-                before_invalidations = registry.stats()["invalidations"]
+                refs = derived_refs(
+                    context_of(service, service.registry.snapshot())
+                )
+                assert all(ref() is not None for ref in refs)
 
                 service.register_source(extra_source())
 
-                return core, fragments, partition_key, before_invalidations
+                # Nothing the running service holds reaches them.
+                return [ref() is None for ref in refs]
 
-        core, fragments, partition_key, before = run(scenario())
-
-        # Fact-set-derived entries for the retired certain core: gone.
-        assert cached_statistics(core) is None
-        for f in fragments:
-            assert cached_statistics(f) is None
-        # Partition layouts tagged with the retired cores: gone.
-        assert _PARTITIONS.peek(partition_key) is None
-        assert _PARTITIONS.invalidate_tags([core, *fragments]) == 0
-        # And it was the bus that did it, not per-cache clears.
-        assert cache_registry().stats()["invalidations"] > before
+        dead = run(scenario())
+        assert dead and all(dead)
 
     def test_unrelated_entries_survive_the_diff(self):
         async def scenario():
@@ -95,20 +92,19 @@ class TestSingleDiffClearsEverything:
                 service.register_source(extra_source())
                 # Re-warm under version 1: the new snapshot's derived state
                 # is built fresh and must be found warm afterwards — the
-                # diff retires only the *old* version's entries.
+                # diff retires only the *old* version's state.
                 second = await service.answer(QUERY)
-                new = service.registry.snapshot()
-                executor = service.scheduler._contexts[
-                    (new.version, frozenset())
-                ].executor
-                partition_key = (executor.sharded.union_core(),
-                                 executor.sharded.spec)
                 assert first.status is second.status is RequestStatus.OK
-                return partition_key
+                context = context_of(service, service.registry.snapshot())
+                return [
+                    data_source_for(shard).cached_artifacts()
+                    for shard in context.executor.sharded.shards()
+                ]
 
-        partition_key = run(scenario())
-        # fresh snapshot's partition layout untouched by the earlier diff
-        assert _PARTITIONS.peek(partition_key) is not None
+        artifacts = run(scenario())
+        assert any(artifacts) and all(scans for scans, _ in artifacts)
+        # The shared plan cache keys outlive every version.
+        assert plan_key(QUERY, global_table()) in shared_plan_cache()
 
     def test_bus_counts_surface_in_service_stats(self):
         async def scenario():
@@ -124,8 +120,12 @@ class TestSingleDiffClearsEverything:
         stats = run(scenario())
         counters = stats["metrics"]["counters"]
         assert counters.get("registry_mutations", 0) == 1
-        assert counters.get("cache_entries_invalidated", 0) >= 1
-        # The unified tree carries the same story per cache.
+        assert counters.get("shard_stores_discarded", 0) == 1
+        assert "cache_entries_invalidated" not in counters
+        assert "plan_statistics_discarded" not in counters
+        # The unified tree carries the two shared caches only.
         leaves = stats["cache"]["caches"]
+        assert set(leaves) == {"engine.memo", "plan.plans"}
         total = sum(leaf["invalidations"] for leaf in leaves.values())
-        assert stats["cache"]["invalidations"] == total >= 1
+        assert stats["cache"]["invalidations"] == total
+        assert stats["plan"]["data_sources_built"] >= 1

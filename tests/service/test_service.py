@@ -294,7 +294,7 @@ class TestObservability:
         )
         assert stats["cache"]["bytes"] >= 0
         assert set(stats["plan"]) == {
-            "cache", "data_sources", "statistics", "optimizer",
+            "cache", "data_sources_built", "statistics", "optimizer",
         }
         assert stats["registry"]["version"] == 0
         assert stats["registry"]["sources"] == 2

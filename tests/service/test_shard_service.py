@@ -96,7 +96,7 @@ class TestInvalidation:
 
         scheduler, contexts, executor = run(scenario())
         assert contexts == {}
-        assert executor.sharded.built_fragments()
+        assert executor.sharded.layout_counters()["base_built"] == 2
         assert scheduler.metrics.counter("shard_stores_discarded").value == 1
 
     def test_registry_mutation_retires_through_the_service(self):

@@ -1,9 +1,12 @@
 """ShardedDatabase: base shards, broadcast/repartition layouts, lifecycle."""
 
+import weakref
+
 import pytest
 
 from repro.exceptions import ModelError
 from repro.model import GlobalDatabase, fact
+from repro.plan import data_source_for, statistics_for
 from repro.shard import PartitionSpec, ShardedDatabase, stable_bucket
 
 
@@ -108,16 +111,22 @@ class TestRepartition:
 
 
 class TestLifecycle:
-    def test_built_fragments_tracks_materialization(self):
+    def test_fragments_are_freed_with_the_store(self):
+        # A store's fragments and the plan state built on them live only
+        # as long as the store: dropping it frees them without a
+        # collection.
         store = make_store(3)
-        assert store.built_fragments() == ()
-        store.shards()
-        assert len(store.built_fragments()) == 3
         rid = store.union_core().table.relation("E")
-        store.broadcast_fragments(rid)
-        assert len(store.built_fragments()) == 6
-        store.repartition_fragments({rid: (0,)})
-        assert len(store.built_fragments()) == 9
+        fragments = (
+            *store.shards(),
+            *store.broadcast_fragments(rid),
+            *store.repartition_fragments({rid: (0,)}),
+        )
+        refs = [weakref.ref(f) for f in fragments]
+        refs += [weakref.ref(data_source_for(f)) for f in fragments]
+        refs += [weakref.ref(statistics_for(f)) for f in fragments]
+        del store, fragments
+        assert not any(ref() for ref in refs)
 
     def test_layout_counters(self):
         store = make_store(2)

@@ -52,6 +52,49 @@ def test_summarize_counts_wins_by_direction_and_ties_for_neither():
     assert higher["change_pct"] == pytest.approx(100 * 83 / 307)
 
 
+#: cq_eval ``ops_per_s`` of a change that was faster in 7/7 pairs, with a
+#: parent spread (IQR 33% of the median) wider than the 0.25 bound.
+WIDE_PARENT = [(189, 265), (184, 228), (205, 215), (135, 182), (135, 185),
+               (143, 161), (143, 167)]
+TIGHT_PARENT = [100.0, 101.0, 99.0, 100.0, 102.0, 98.0, 100.0, 101.0, 99.0,
+                100.0]
+
+
+@pytest.mark.parametrize(
+    "pairs, better, expected",
+    [
+        (WIDE_PARENT, "higher", "unresolved"),
+        # A wide parent spread is overruled when every change run wins.
+        ([(p, c + 100) for p, c in WIDE_PARENT], "higher", "gain"),
+        ([(p, p * 0.7) for p in TIGHT_PARENT], "higher", "worse"),
+        ([(p, p * 1.3) for p in TIGHT_PARENT], "lower", "worse"),
+        ([(p, p * 0.5) for p in TIGHT_PARENT], "lower", "gain"),
+        ([(p, p + 5) for p in TIGHT_PARENT], "higher", "gain"),
+        # 8/10 wins is not a gain, even with a large median move.
+        ([(p, p + 5 if i < 8 else p - 1) for i, p in enumerate(TIGHT_PARENT)],
+         "higher", "within bound"),
+        # 10/10 wins by less than the parent's IQR is not a gain either.
+        ([(p, p + 0.5) for p in TIGHT_PARENT], "higher", "within bound"),
+        ([(p, p * 0.9) for p in TIGHT_PARENT], "higher", "within bound"),
+    ],
+)
+def test_verdict_applies_the_benchmark_rule(pairs, better, expected):
+    assert bench_pairs.verdict(pairs, better, 0.25) == expected
+
+
+def test_verdict_is_rendered_from_the_metric_bound():
+    runs = [(record(p, 1.0), record(c, 1.0)) for p, c in WIDE_PARENT]
+    (row,) = bench_pairs.report(
+        "cq_eval", runs, [{"name": "ops_per_s", "unit": "1/s",
+                           "better": "higher", "bound": 0.25}]
+    )
+    assert row["verdict"] == "unresolved"
+    assert "cq_eval ops_per_s (1/s) [unresolved]: median 143 → 185" in (
+        bench_pairs.render([row])
+    )
+    assert "verdict" not in bench_pairs.COLUMNS
+
+
 def test_report_and_trajectory_rows_from_canned_runs(tmp_path):
     runs = [
         (record(300, 2.9), record(440, 2.1, digest="def")),

@@ -14,8 +14,9 @@ drift of the host does not favour one side.
 
 It prints, per workload and end-to-end metric of ``BENCHMARK.json``, both
 medians, each side's interquartile range as a share of its median, how
-many pairs the change won (ties count for neither), and the per-pair
-values as ``parent→change``. It then appends one row per workload and
+many pairs the change won (ties count for neither), the per-pair values as
+``parent→change``, and the verdict of the benchmark's own rule (see
+:func:`verdict`) under the metric's ``bound``. It then appends one row per workload and
 metric to ``benchmarks/results/perfbench_trajectory.csv`` (``--csv``), so
 the numbers of successive changes stay comparable. Exit code 0 when every
 run completed with correct outputs, 1 otherwise.
@@ -59,13 +60,47 @@ def share(part: float, whole: float) -> float:
     return 100.0 * part / whole if whole else 0.0
 
 
+def verdict(
+    pairs: Sequence[Tuple[float, float]], better: str, bound: float
+) -> str:
+    """The benchmark's judgement of one metric's ``(parent, change)`` pairs.
+
+    * ``unresolved`` — the parent's IQR exceeds *bound* × its median, unless
+      every change run beats every parent run;
+    * ``worse`` — otherwise, the change's median is worse than the
+      parent's by more than *bound* (a fraction of the parent's median);
+    * ``gain`` — the change wins at least 9/10 of the pairs and its median
+      is better than the parent's by more than the parent's IQR;
+    * ``within bound`` — anything else.
+    """
+    parent = [p for p, _c in pairs]
+    change = [c for _p, c in pairs]
+    parent_median = statistics.median(parent)
+    # Orient every comparison so that "larger is better".
+    sign = -1.0 if better == "lower" else 1.0
+    spread = iqr(parent)
+    if spread > bound * abs(parent_median) and not (
+        min(sign * c for c in change) > max(sign * p for p in parent)
+    ):
+        return "unresolved"
+    gap = sign * (statistics.median(change) - parent_median)
+    if gap < -bound * abs(parent_median):
+        return "worse"
+    wins = sum(sign * c > sign * p for p, c in pairs)
+    if wins >= 0.9 * len(pairs) and gap > spread:
+        return "gain"
+    return "within bound"
+
+
 def summarize(
-    pairs: Sequence[Tuple[float, float]], better: str
+    pairs: Sequence[Tuple[float, float]], better: str,
+    bound: Optional[float] = None,
 ) -> Dict[str, object]:
     """Aggregate one metric's ``(parent, change)`` pairs.
 
     *better* is ``"lower"`` or ``"higher"``; a pair is a win when the
-    change is strictly better, so ties count for neither side.
+    change is strictly better, so ties count for neither side. With the
+    metric's *bound*, the summary carries its :func:`verdict`.
     """
     parent = [p for p, _c in pairs]
     change = [c for _p, c in pairs]
@@ -76,6 +111,7 @@ def summarize(
     else:
         wins = sum(c > p for p, c in pairs)
     return {
+        "verdict": None if bound is None else verdict(pairs, better, bound),
         "parent_median": parent_median,
         "change_median": change_median,
         "parent_iqr_pct": share(iqr(parent), parent_median),
@@ -128,7 +164,7 @@ def report(
         pairs = [
             (metric_values(p)[name], metric_values(c)[name]) for p, c in runs
         ]
-        summary = summarize(pairs, metric["better"])
+        summary = summarize(pairs, metric["better"], metric.get("bound"))
         summary.update(workload=workload, metric=name, unit=metric["unit"])
         rows.append(summary)
     return rows
@@ -137,8 +173,9 @@ def report(
 def render(rows: Sequence[Dict[str, object]]) -> str:
     lines = []
     for row in rows:
+        judged = f" [{row['verdict']}]" if row.get("verdict") else ""
         lines.append(
-            f"{row['workload']} {row['metric']} ({row['unit']}): "
+            f"{row['workload']} {row['metric']} ({row['unit']}){judged}: "
             f"median {fmt(row['parent_median'])} → "
             f"{fmt(row['change_median'])} ({row['change_pct']:+.1f}%), "
             f"IQR {row['parent_iqr_pct']:.1f}% / {row['change_iqr_pct']:.1f}% "
