@@ -185,41 +185,11 @@ class LRUMemo:
             self.misses += 1
             return False, None
 
-    def peek(self, key: Hashable) -> Optional[Any]:
-        """The cached value without counting a hit or touching recency.
-
-        For opportunistic reads that should neither skew hit rates nor keep
-        an otherwise-cold entry alive.
-        """
-        with self._lock:
-            entry = self._data.get(key)
-            return entry.value if entry is not None else None
-
     def store(self, key: Hashable, value: Any) -> None:
         """Insert or refresh an entry."""
         with self._lock:
             self._store_locked(key, value)
         self._after_store()
-
-    def get_or_create(self, key: Hashable, factory: Callable[[], Any]) -> Any:
-        """The entry's value, minting it atomically on first sight.
-
-        The factory runs under the cache lock, so exactly one value is ever
-        minted per key. Keep factories cheap and free of cache/registry
-        reentry.
-        """
-        with self._lock:
-            entry = self._data.get(key)
-            if entry is not None:
-                self._data.move_to_end(key)
-                entry.tick = next(_TICK)
-                self.hits += 1
-                return entry.value
-            self.misses += 1
-            value = factory()
-            self._store_locked(key, value)
-        self._after_store()
-        return value
 
     def _store_locked(self, key: Hashable, value: Any) -> None:
         old = self._data.get(key)
@@ -241,19 +211,6 @@ class LRUMemo:
         _key, entry = self._data.popitem(last=False)
         self._bytes -= entry.cost
         self.evictions += 1
-
-    def discard(self, key: Hashable) -> bool:
-        """Drop one entry if present; ``True`` when something was removed.
-
-        Discarding is *not* an eviction (not counted in ``evictions``):
-        callers use it to retire entries they can prove unreachable.
-        """
-        with self._lock:
-            entry = self._data.pop(key, None)
-            if entry is None:
-                return False
-            self._bytes -= entry.cost
-            return True
 
     def invalidate_tags(self, tags: Iterable[Hashable]) -> int:
         """Retire every entry keyed by any of *tags*.

@@ -32,11 +32,11 @@ def to_core_term(table: SymbolTable, term) -> int:
 
 def from_core_term(table: SymbolTable, tid: int):
     """The boxed term behind a term ID."""
-    from repro.model.terms import Constant, Variable
+    from repro.model.terms import Variable
 
     if tid < 0:
         return Variable(table.variable_name(tid))
-    return Constant(table.constant_value(tid))
+    return table.constant_term(tid)
 
 
 # -- atoms and facts -----------------------------------------------------------
@@ -66,12 +66,10 @@ def fact_of_atom(table: SymbolTable, atom) -> int:
 def atom_of_fact(table: SymbolTable, fid: int):
     """The boxed ground :class:`Atom` behind a fact ID."""
     from repro.model.atoms import Atom
-    from repro.model.terms import Constant
 
-    rid, *cids = table.fact_tuple(fid)
-    return Atom(
-        table.relation_name(rid),
-        tuple(Constant(table.constant_value(c)) for c in cids),
+    key = table.fact_tuple(fid)
+    return Atom.from_constants(
+        table.relation_name(key[0]), tuple(map(table.constant_term, key[1:]))
     )
 
 
@@ -100,15 +98,13 @@ def database_of_grouped(table: SymbolTable, grouped):
     """
     from repro.model.atoms import Atom
     from repro.model.database import GlobalDatabase
-    from repro.model.terms import Constant
 
+    term = table.constant_term
     atoms = []
     for rid, arg_tuples in grouped.items():
         name = table.relation_name(rid)
         for args in arg_tuples:
-            atoms.append(
-                Atom(name, tuple(Constant(table.constant_value(c)) for c in args))
-            )
+            atoms.append(Atom.from_constants(name, tuple(map(term, args))))
     return GlobalDatabase(atoms)
 
 
@@ -163,13 +159,13 @@ def to_core_source(table: SymbolTable, source):
 def from_core_source(table: SymbolTable, core_source):
     """The boxed :class:`SourceDescriptor` behind a :class:`CoreSource`."""
     from repro.model.atoms import Atom
-    from repro.model.terms import Constant
     from repro.sources.descriptor import SourceDescriptor
 
     view = from_core_view(table, core_source.view)
     local = view.head.relation
+    term = table.constant_term
     extension = [
-        Atom(local, tuple(Constant(table.constant_value(c)) for c in args))
+        Atom.from_constants(local, tuple(map(term, args)))
         for args in core_source.extension
     ]
     return SourceDescriptor(

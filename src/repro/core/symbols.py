@@ -16,6 +16,10 @@ adapters and the fast paths):
 * **IDs are process-local** — they are *not* stable across processes. Data
   shipped to worker processes goes through value-level encodings (the
   kernel's wire format) or boxed objects, never raw IDs.
+* **One boxed term per constant** — built on first decode, handed to
+  every decoder by :meth:`SymbolTable.constant_term`, dropped on rollback.
+* **Publish after the reverse entry** — a new ID enters the lock-free
+  lookup dict only once it resolves.
 * **Rollback needs exclusivity** — :meth:`SymbolTable.rollback` truncates
   every namespace back to a :meth:`SymbolTable.snapshot`. That is only sound
   when no other thread interned in between, so transactional writers (the
@@ -31,6 +35,7 @@ from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from repro.exceptions import ModelError
 from repro.core.iatoms import IAtom
+from repro.model.terms import Constant
 
 
 class SymbolSnapshot(NamedTuple):
@@ -61,6 +66,7 @@ class SymbolTable:
         "_lock",
         "_constants",
         "_constant_values",
+        "_constant_terms",
         "_variables",
         "_variable_names",
         "_relations",
@@ -77,6 +83,7 @@ class SymbolTable:
         self._rollback_listeners: List[Any] = []
         self._constants: Dict[Any, int] = {}
         self._constant_values: List[Any] = []
+        self._constant_terms: List[Optional[Constant]] = []
         self._variables: Dict[str, int] = {}
         self._variable_names: List[str] = []
         self._relations: Dict[str, int] = {}
@@ -102,8 +109,9 @@ class SymbolTable:
             cid = self._constants.get(value)
             if cid is None:
                 cid = len(self._constant_values)
-                self._constants[value] = cid
                 self._constant_values.append(value)
+                self._constant_terms.append(None)
+                self._constants[value] = cid
             return cid
 
     def variable(self, name: str) -> int:
@@ -119,8 +127,8 @@ class SymbolTable:
             vid = self._variables.get(name)
             if vid is None:
                 vid = -(len(self._variable_names) + 1)
-                self._variables[name] = vid
                 self._variable_names.append(name)
+                self._variables[name] = vid
             return vid
 
     def relation(self, name: str) -> int:
@@ -136,8 +144,8 @@ class SymbolTable:
             rid = self._relations.get(name)
             if rid is None:
                 rid = len(self._relation_names)
-                self._relations[name] = rid
                 self._relation_names.append(name)
+                self._relations[name] = rid
             return rid
 
     def fact(self, rid: int, arg_ids: Iterable[int]) -> int:
@@ -155,8 +163,8 @@ class SymbolTable:
             fid = self._facts.get(key)
             if fid is None:
                 fid = len(self._fact_tuples)
-                self._facts[key] = fid
                 self._fact_tuples.append(key)
+                self._facts[key] = fid
             return fid
 
     def iatom(self, rid: int, arg_ids: Iterable[int]) -> IAtom:
@@ -196,6 +204,17 @@ class SymbolTable:
     def constant_value(self, cid: int) -> Any:
         """The boxed value behind a constant ID."""
         return self._constant_values[cid]
+
+    def constant_term(self, cid: int) -> Constant:
+        """The shared boxed :class:`~repro.model.terms.Constant` of an ID.
+
+        Built on first decode and kept until a rollback frees the ID.
+        """
+        term = self._constant_terms[cid]
+        if term is None:
+            term = Constant(self._constant_values[cid])  # boxed-ok: one term per symbol, built once
+            self._constant_terms[cid] = term
+        return term
 
     def variable_name(self, vid: int) -> str:
         """The name behind a (negative) variable ID."""
@@ -253,6 +272,7 @@ class SymbolTable:
             removed = 0
             while len(self._constant_values) > snap.constants:
                 del self._constants[self._constant_values.pop()]
+                self._constant_terms.pop()
                 removed += 1
             while len(self._variable_names) > snap.variables:
                 del self._variables[self._variable_names.pop()]

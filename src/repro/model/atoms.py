@@ -43,6 +43,22 @@ class Atom:
         self._vars: "frozenset | None" = None
         self._consts: "frozenset | None" = None
 
+    @classmethod
+    def from_constants(cls, relation: str, args: Tuple[Constant, ...]) -> "Atom":
+        """A fact from a relation name and a tuple of constants.
+
+        The trusted constructor of the ID-to-boxed decoders: it skips the
+        name check, :func:`~repro.model.terms.as_term` and the groundness
+        scan, and equals ``Atom(relation, args)`` in every respect.
+        """
+        atom = object.__new__(cls)
+        atom.relation = relation
+        atom.args = args
+        atom._hash = hash((relation, args))
+        atom._ground = True
+        atom._vars = atom._consts = None
+        return atom
+
     @property
     def arity(self) -> int:
         """Number of arguments."""
@@ -96,6 +112,10 @@ class Atom:
 
     def __hash__(self) -> int:
         return self._hash
+
+    def __reduce__(self):
+        # Rebuilt from its parts, so the hash is the loading process's.
+        return (Atom, (self.relation, self.args))
 
     def __repr__(self) -> str:
         return f"Atom({self.relation!r}, {self.args!r})"

@@ -37,6 +37,11 @@ class Constant:
     def __hash__(self) -> int:
         return self._hash
 
+    def __reduce__(self):
+        # Rebuilt from the value: the cached hash depends on the process's
+        # string-hash seed, which a spawned worker does not share.
+        return (Constant, (self.value,))
+
     def __repr__(self) -> str:
         return f"Constant({self.value!r})"
 
@@ -69,6 +74,9 @@ class Variable:
 
     def __hash__(self) -> int:
         return self._hash
+
+    def __reduce__(self):
+        return (Variable, (self.name,))
 
     def __repr__(self) -> str:
         return f"Variable({self.name!r})"

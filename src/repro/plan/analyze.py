@@ -21,12 +21,13 @@ observation point, not a fork of the adaptive behavior.
 
 from __future__ import annotations
 
-from collections import OrderedDict
+from itertools import chain
 from typing import Dict, Iterable, Sequence, Tuple
 
 from repro.plan.executor import (
     PlanDataSource,
     _hash_join,
+    _project,
     data_source_for,
     format_est,
     record_feedback,
@@ -88,21 +89,15 @@ def _eval_measured(
             if predicate.evaluate(row, table)
         ]
     if node_type is ProjectNode:
-        columns = node.columns
-        seen: "OrderedDict[Tuple[int, ...], None]" = OrderedDict()
-        for row in _run_measured(node.child, source, actuals):
-            seen.setdefault(
-                tuple(row[c] if isinstance(c, int) else c.cid for c in columns)
-            )
-        return tuple(seen)
+        return _project(
+            node.columns, _run_measured(node.child, source, actuals)
+        )
     if node_type is UnitNode:
         return ((),)
     if node_type is UnionPlanNode:
-        seen = OrderedDict()
-        for child in node.children:
-            for row in _run_measured(child, source, actuals):
-                seen.setdefault(row)
-        return tuple(seen)
+        return tuple(dict.fromkeys(chain.from_iterable(
+            _run_measured(child, source, actuals) for child in node.children
+        )))
     raise PlanError(f"unknown plan node {node_type.__name__}")
 
 

@@ -25,22 +25,24 @@ amortizes them across the whole workload.
 
 The decode back to boxed answers (:class:`~repro.model.atoms.Atom` facts for
 conjunctive queries, rows of :class:`~repro.model.terms.Constant` for the
-algebra) happens once per *distinct answer*, not per derivation.
+algebra) happens once per *distinct answer*, not per derivation, through
+the symbol table's shared terms and the trusted
+:meth:`~repro.model.atoms.Atom.from_constants` (:func:`decode_answers`).
 """
 
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
+from itertools import chain
 from operator import itemgetter
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.core.factset import IFactSet
+from repro.model.atoms import Atom
 from repro.plan.ir import (
     CompiledPlan,
     FilterNode,
     HashJoinNode,
-    Lit,
     PlanError,
     PlanNode,
     ProjectNode,
@@ -151,8 +153,7 @@ def _scan_filter(node: ScanNode, rows: Sequence[Tuple[int, ...]]) -> Rows:
     arity = node.arity
     const_eq = node.const_eq
     dup_eq = node.dup_eq
-    output = node.output
-    seen: "OrderedDict[Tuple[int, ...], None]" = OrderedDict()
+    kept = []
     for args in rows:
         if len(args) != arity:
             continue
@@ -167,8 +168,27 @@ def _scan_filter(node: ScanNode, rows: Sequence[Tuple[int, ...]]) -> Rows:
                     ok = False
                     break
         if ok:
-            seen.setdefault(tuple(args[p] for p in output))
-    return tuple(seen)
+            kept.append(args)
+    return _project(node.output, kept)
+
+
+def _project(columns: Tuple, rows: Sequence[Tuple[int, ...]]) -> Rows:
+    """*rows* through projection *columns*, deduplicated in first-seen order.
+
+    Plain positions are picked by one :func:`operator.itemgetter` (a slice
+    for one column, so rows stay 1-tuples); :class:`~repro.plan.ir.Lit`
+    columns and zero-width heads take the per-row path.
+    """
+    if columns and all(isinstance(c, int) for c in columns):
+        if len(columns) == 1:
+            pick = itemgetter(slice(columns[0], columns[0] + 1))
+        else:
+            pick = itemgetter(*columns)
+        return tuple(dict.fromkeys(map(pick, rows)))
+    return tuple(dict.fromkeys(
+        tuple(row[c] if isinstance(c, int) else c.cid for c in columns)
+        for row in rows
+    ))
 
 
 def _build_index(
@@ -308,23 +328,13 @@ def _run(node: PlanNode, source: PlanDataSource) -> Sequence[Tuple[int, ...]]:
             if predicate.evaluate(row, table)
         ]
     if node_type is ProjectNode:
-        columns = node.columns
-        seen: "OrderedDict[Tuple[int, ...], None]" = OrderedDict()
-        for row in _run(node.child, source):
-            seen.setdefault(
-                tuple(
-                    row[c] if isinstance(c, int) else c.cid for c in columns
-                )
-            )
-        return tuple(seen)
+        return _project(node.columns, _run(node.child, source))
     if node_type is UnitNode:
         return ((),)
     if node_type is UnionPlanNode:
-        seen = OrderedDict()
-        for child in node.children:
-            for row in _run(child, source):
-                seen.setdefault(row)
-        return tuple(seen)
+        return tuple(dict.fromkeys(chain.from_iterable(
+            _run(child, source) for child in node.children
+        )))
     raise PlanError(f"unknown plan node {node_type.__name__}")
 
 
@@ -373,7 +383,22 @@ def execute_plan(
 
 # -- boxed entry points --------------------------------------------------------
 
-def evaluate(query, database) -> FrozenSet:
+def decode_answers(plan: CompiledPlan, rows) -> FrozenSet[Atom]:
+    """A conjunctive-query plan's ID rows as boxed head facts.
+
+    Cells are the symbol table's shared terms, so a constant is boxed once
+    and not per answer; facts come from the trusted
+    :meth:`~repro.model.atoms.Atom.from_constants`.
+    """
+    term = plan.table.constant_term
+    head_relation = plan.head_relation
+    make = Atom.from_constants
+    return frozenset(
+        make(head_relation, tuple(map(term, row))) for row in rows
+    )
+
+
+def evaluate(query, database) -> FrozenSet[Atom]:
     """``Q(D)`` for a conjunctive query, through the plan pipeline.
 
     The drop-in replacement for
@@ -381,19 +406,11 @@ def evaluate(query, database) -> FrozenSet:
     answers (differentially tested), compiled once per alpha-equivalence
     class, indexes shared per database.
     """
-    from repro.model.atoms import Atom
     from repro.plan.compiler import plan_for
 
     core = database.core()
     plan = plan_for(query, facts=core)
-    source = data_source_for(core)
-    rows = execute_plan(plan, source)
-    constant_value = plan.table.constant_value
-    head_relation = plan.head_relation
-    return frozenset(
-        Atom(head_relation, tuple(constant_value(c) for c in row))
-        for row in rows
-    )
+    return decode_answers(plan, execute_plan(plan, data_source_for(core)))
 
 
 def evaluate_rows(algebra_query, database) -> FrozenSet[Tuple]:
@@ -402,17 +419,13 @@ def evaluate_rows(algebra_query, database) -> FrozenSet[Tuple]:
     Raises :class:`~repro.plan.ir.PlanError` for trees outside the compiled
     vocabulary.
     """
-    from repro.model.terms import Constant
     from repro.plan.compiler import plan_for
 
     core = database.core()
     plan = plan_for(algebra_query, facts=core)
-    source = data_source_for(core)
-    rows = execute_plan(plan, source)
-    constant_value = plan.table.constant_value
-    return frozenset(
-        tuple(Constant(constant_value(c)) for c in row) for row in rows
-    )
+    rows = execute_plan(plan, data_source_for(core))
+    term = plan.table.constant_term
+    return frozenset(tuple(map(term, row)) for row in rows)
 
 
 def format_est(value: float) -> str:

@@ -196,10 +196,7 @@ class ConditionPredicate(Predicate):
 
     def evaluate(self, row, table) -> bool:
         """Decode the row to boxed constants and ask the condition."""
-        from repro.model.terms import Constant
-
-        boxed = tuple(Constant(table.constant_value(c)) for c in row)
-        return self.condition.evaluate(boxed)
+        return self.condition.evaluate(tuple(map(table.constant_term, row)))
 
     def explain(self, table) -> str:
         """Render the wrapped boxed condition."""

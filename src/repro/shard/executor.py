@@ -21,7 +21,6 @@ import threading
 from typing import Dict, FrozenSet, Tuple
 
 from repro.model.atoms import Atom
-from repro.model.terms import Constant
 from repro.shard.merge import canonical_order, merge_answer_sets
 from repro.shard.planner import ShardPlan, explain_shards, plan_shards
 from repro.shard.store import ShardedDatabase
@@ -59,17 +58,12 @@ def evaluate_fragment(query, facts) -> FrozenSet[Atom]:
     database wrapper: fragments are already interned fact sets.
     """
     from repro.plan.compiler import plan_for
-    from repro.plan.executor import data_source_for, execute_plan
+    from repro.plan.executor import (
+        data_source_for, decode_answers, execute_plan,
+    )
 
     plan = plan_for(query, facts=facts)
-    source = data_source_for(facts)
-    rows = execute_plan(plan, source)
-    constant_value = plan.table.constant_value
-    head_relation = plan.head_relation
-    return frozenset(
-        Atom(head_relation, tuple(Constant(constant_value(c)) for c in row))
-        for row in rows
-    )
+    return decode_answers(plan, execute_plan(plan, data_source_for(facts)))
 
 
 # -- the executor --------------------------------------------------------------

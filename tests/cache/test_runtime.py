@@ -50,34 +50,6 @@ class TestLRUMemo:
         assert memo.bytes == 7
         assert len(memo) == 1
 
-    def test_peek_counts_nothing_and_keeps_recency(self):
-        memo = LRUMemo(2)
-        memo.store("old", 1)
-        memo.store("new", 2)
-        assert memo.peek("old") == 1
-        assert memo.peek("absent") is None
-        memo.store("third", 3)  # "old" must still be the eviction victim
-        assert "old" not in memo and "new" in memo
-        stats = memo.stats()
-        assert stats.hits == 0 and stats.misses == 0
-
-    def test_get_or_create_mints_exactly_once(self):
-        memo = LRUMemo(8)
-        calls = []
-        first = memo.get_or_create("k", lambda: calls.append(1) or "v")
-        second = memo.get_or_create("k", lambda: calls.append(1) or "other")
-        assert first == second == "v"
-        assert len(calls) == 1
-        assert memo.stats().hits == 1 and memo.stats().misses == 1
-
-    def test_discard_is_not_an_eviction(self):
-        memo = LRUMemo(4, sizeof=lambda k, v: 10)
-        memo.store("k", 1)
-        assert memo.discard("k") is True
-        assert memo.discard("k") is False
-        stats = memo.stats()
-        assert stats.evictions == 0 and stats.bytes == 0
-
     def test_invalidate_by_tag_and_by_key(self):
         # A tag matches the entry it keys; unknown and unhashable tags
         # match nothing.

@@ -199,7 +199,8 @@ def test_confidences_keys_once_on_a_miss_and_on_a_hit(monkeypatch):
         problem = kernel.reduce_spec(engine.spec)
     assert keyed == [problem] and len(sweeps) == 1
     key, order = canonical_key(problem)
-    count, numerators = memo.peek((CONFIDENCES, key))
+    hit, (count, numerators) = memo.lookup((CONFIDENCES, key))
+    assert hit and memo.hits == 1  # this lookup's own hit
     assert len(memo) == 1
     assert count == kernel.solve(problem).count
     assert numerators == kernel.solve(problem, order).containing
@@ -241,7 +242,7 @@ def test_partial_memo_hit_sweeps_once_for_the_missed_keys(
     assert len(set(block_keys)) == spec.n_blocks == 3
     assert canonical_key(denominator)[0] in memo
     for j in missed_blocks:
-        assert memo.discard(block_keys[j])
+        assert memo.invalidate_tags([block_keys[j]]) == 1
 
     keyed = record_keys(monkeypatch)
     sweeps = record_sweeps(monkeypatch)
@@ -255,12 +256,13 @@ def test_partial_memo_hit_sweeps_once_for_the_missed_keys(
     assert [sweep[1] for sweep in sweeps] == [order]
     assert sorted(order) == list(range(spec.n_blocks))
     assert (CONFIDENCES, key) in memo
-    assert memo.peek(key) == kernel.solve(denominator).count
+    assert memo.lookup(key) == (True, kernel.solve(denominator).count)
     for j, block_key in enumerate(block_keys):
         if j in missed_blocks:
             assert block_key not in memo
         else:
-            assert memo.peek(block_key) == kernel.solve(forced[j]).count
+            expected_count = kernel.solve(forced[j]).count
+            assert memo.lookup(block_key) == (True, expected_count)
 
 
 def test_count_questions_keep_one_key_each(monkeypatch):

@@ -57,3 +57,27 @@ def test_lint_catches_a_violation(tmp_path):
     assert "kernel.py" in result.stdout  # frozenset( construction
     assert "coresearch.py" not in result.stdout  # waiver honoured
     assert "memo.py" not in result.stdout  # docstring mention ignored
+
+
+def test_lint_flags_fresh_boxing_of_a_decoded_constant(tmp_path):
+    # The decode rule covers every module under src/, hot or not.
+    package = tmp_path / "src" / "repro" / "anywhere"
+    package.mkdir(parents=True)
+    (package / "decoder.py").write_text(
+        "boxed = Constant(table.constant_value(cid))\n"
+    )
+    (package / "shared.py").write_text(
+        "boxed = table.constant_term(cid)\nvalue = table.constant_value(cid)\n"
+    )
+    result = subprocess.run(
+        [
+            sys.executable,
+            str(REPO_ROOT / "tools" / "check_no_boxed_hotpath.py"),
+            str(tmp_path),
+        ],
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 1
+    assert "anywhere/decoder.py:1" in result.stdout
+    assert "shared.py" not in result.stdout

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import pickle
+import sys
 import threading
 
 import pytest
 
 from repro.core import IAtom, IFactSet, SymbolTable, global_table
 from repro.exceptions import ModelError
+from repro.model import Constant
 
 
 def test_constant_interning_is_idempotent():
@@ -90,6 +92,59 @@ def test_find_lookups_do_not_grow():
     assert table.counts() == before
 
 
+def test_each_constant_has_one_shared_term():
+    table = SymbolTable()
+    a = table.constant("a")
+    one = table.constant(1)
+    assert table.constant_term(a) == Constant("a")
+    assert table.constant_term(a) is table.constant_term(table.constant("a"))
+    # Equal values share an ID, so True decodes to the first-interned 1.
+    assert table.constant_term(table.constant(True)) is table.constant_term(one)
+
+
+class _PublishProbe(dict):
+    """A lookup dict that resolves every ID at the moment it is published."""
+
+    def __init__(self, resolve):
+        super().__init__()
+        self.resolve = resolve
+        self.resolved = []
+
+    def __setitem__(self, key, ident):
+        try:
+            self.resolved.append(self.resolve(ident))
+        except IndexError:
+            self.resolved.append(IndexError)
+        super().__setitem__(key, ident)
+
+
+@pytest.mark.parametrize("namespace", ["constant", "variable", "relation", "fact"])
+def test_ids_are_published_after_their_reverse_entry(namespace):
+    """A lock-free reader that sees a new ID can always resolve it."""
+    table = SymbolTable()
+    rid = table.relation("R")
+    cid = table.constant("a")
+    if namespace == "constant":
+        probe = table._constants = _PublishProbe(
+            lambda c: (table.constant_value(c), table.constant_term(c))
+        )
+        table.constant("b")
+        expected = [("b", Constant("b"))]
+    elif namespace == "variable":
+        probe = table._variables = _PublishProbe(table.variable_name)
+        table.variable("x")
+        expected = ["x"]
+    elif namespace == "relation":
+        probe = table._relations = _PublishProbe(table.relation_name)
+        table.relation("S")
+        expected = ["S"]
+    else:
+        probe = table._facts = _PublishProbe(table.fact_tuple)
+        table.fact(rid, (cid,))
+        expected = [(rid, cid)]
+    assert probe.resolved == expected
+
+
 def test_snapshot_rollback_truncates_every_namespace():
     table = SymbolTable()
     r = table.relation("R")
@@ -98,6 +153,7 @@ def test_snapshot_rollback_truncates_every_namespace():
     snap = table.snapshot()
 
     b = table.constant("b")
+    assert table.constant_term(b) == Constant("b")
     table.variable("x")
     s = table.relation("S")
     table.fact(r, (b,))
@@ -111,8 +167,10 @@ def test_snapshot_rollback_truncates_every_namespace():
     # Pre-snapshot symbols survive with their IDs intact.
     assert table.constant("a") == a
     assert table.relation("R") == r
-    # Re-interning after rollback reuses the freed dense range.
+    # Re-interning after rollback reuses the freed dense range, and the
+    # freed ID's boxed term is the new constant's.
     assert table.constant("z") == b
+    assert table.constant_term(b) == Constant("z")
 
 
 def test_rollback_under_exclusive_lock_is_thread_safe():
@@ -145,6 +203,41 @@ def test_rollback_under_exclusive_lock_is_thread_safe():
         stop.set()
         thread.join()
     assert errors == []
+
+
+def test_concurrent_interning_and_decoding_agree():
+    """Threads intern and decode at once: every ID a thread sees resolves,
+    and every decode returns its own constant's term."""
+    table = SymbolTable()
+    errors = []
+
+    def work(worker):
+        neighbour = (worker + 1) % 4
+        try:
+            for i in range(300):
+                seen = [((worker, i), table.constant((worker, i)))]
+                seen.append(((neighbour, i), table.find_constant((neighbour, i))))
+                for value, cid in seen:
+                    if cid is not None and table.constant_term(cid) != Constant(value):
+                        errors.append((cid, value))
+        except Exception as exc:  # pragma: no cover - failure reporting
+            errors.append(repr(exc))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(w,)) for w in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    for w in range(4):
+        for i in range(300):
+            assert table.constant_term(table.constant((w, i))) == Constant((w, i))
 
 
 def test_global_table_is_shared():

@@ -33,6 +33,9 @@ QUERIES = [
     "V(x, w) <- E(x, y), E(y, z), E(z, w)",
     "V(x, 7) <- E(x, x)",
     "V() <- E(1, 2)",
+    # Repeated head columns: projected through one itemgetter pick.
+    "V(x, x) <- E(x, y)",
+    "V(y, x, y) <- E(x, y)",
 ]
 
 VARIABLE_POOLS = [

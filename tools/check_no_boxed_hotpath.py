@@ -21,6 +21,11 @@ calls to ``evaluate_backtracking`` / ``evaluate_naive`` /
 the oracles stay available everywhere else (tests, benchmarks, the
 rewriting executor's witness path, which carries an explicit waiver).
 
+A third contract covers every module under ``src/``: an interned constant
+is decoded through the symbol table's shared term
+(``SymbolTable.constant_term``), so no line may wrap a ``constant_value(``
+call in a fresh ``Constant(``.
+
 Usage: python tools/check_no_boxed_hotpath.py [repo_root]
 Exit 0 when clean, 1 with a report of every violation otherwise.
 """
@@ -67,6 +72,10 @@ BANNED_ROUTED = re.compile(
     r"|from repro\.queries\.evaluation import"
     r"|import repro\.queries\.evaluation\b"
 )
+
+#: Boxing a decoded value afresh, banned everywhere in ``src/``: the symbol
+#: table keeps one shared ``Constant`` per constant (``constant_term``).
+BANNED_DECODE = re.compile(r"\bConstant\(\s*[\w.]*constant_value\(")
 
 WAIVER = "# boxed-ok"
 
@@ -116,6 +125,9 @@ def main(argv) -> int:
             missing.append(f"routed module missing: {relative}")
             continue
         problems.extend(check_module(path, banned=BANNED_ROUTED))
+    sources = sorted((root / "src").rglob("*.py"))
+    for path in sources:
+        problems.extend(check_module(path, banned=BANNED_DECODE))
     for problem in missing + problems:
         print(problem)
     if problems or missing:
@@ -123,7 +135,8 @@ def main(argv) -> int:
         return 1
     print(
         f"{len(HOT_MODULES)} hot modules clean (no boxed construction); "
-        f"{len(ROUTED_MODULES)} routed modules clean (no direct evaluator use)."
+        f"{len(ROUTED_MODULES)} routed modules clean (no direct evaluator use); "
+        f"{len(sources)} modules decode through shared terms."
     )
     return 0
 
