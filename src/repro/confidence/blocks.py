@@ -97,7 +97,7 @@ class IdentityInstance:
         # relation and intern it to a fact ID, accumulating its membership
         # signature as a bitmask (bit i set ⇔ fact ∈ v_i). One dict pass
         # replaces the per-source frozenset membership probes of the boxed
-        # algorithm (kept in repro.core.baseline for benchmarks/tests).
+        # algorithm (kept in tests/oracles/ as the differential oracle).
         from repro.core.symbols import global_table
 
         table = global_table()

@@ -54,7 +54,6 @@ __all__ = [
     "LRUMemo",
     "MAX_CANONICAL_ORDERS",
     "canonical_key",
-    "canonical_key_boxed",
     "shared_memo",
 ]
 
@@ -104,9 +103,10 @@ def _profiles(problem: ReducedProblem, completeness: Sequence) -> List[Tuple]:
     """A permutation-invariant profile per source (the sorting key).
 
     *completeness* supplies one sortable token per source — interned int IDs
-    on the fast path, raw Fractions on the boxed baseline. Any fixed total
-    order over the tokens yields a correct canonicalization; only equality
-    of tokens (which both encodings preserve) affects which keys collide.
+    in :func:`canonical_key`, raw Fractions in the boxed key the tests keep
+    as its oracle. Any fixed total order over the tokens yields a correct
+    canonicalization; only equality of tokens (which both encodings
+    preserve) affects which keys collide.
     """
     block_shapes: List[List[Tuple[int, int]]] = [
         [] for _ in range(problem.n_sources)
@@ -195,10 +195,11 @@ def canonical_key(problem: ReducedProblem) -> Tuple[Tuple, Tuple[int, ...]]:
     Every entry of the key is a plain int: completeness bounds are interned
     as constants in the process-wide symbol table (equal Fractions share an
     ID), so key comparison and hashing never touch Fraction arithmetic. The
-    encoding is injective relative to :func:`canonical_key_boxed` — two
-    problems get equal int keys iff they get equal boxed keys (asserted
-    property-based in ``tests/property/test_core_roundtrip.py``), so hit/miss
-    behavior is identical.
+    encoding is injective relative to the same key over the Fractions
+    themselves — two problems get equal int keys iff they get equal
+    Fraction keys (asserted property-based in
+    ``tests/property/test_core_roundtrip.py`` against the boxed key in
+    ``tests/oracles/``), so hit/miss behavior is identical.
 
     Two problems with equal keys are related by a source relabelling that
     maps the block at each position of one block order to the block at the
@@ -213,9 +214,3 @@ def canonical_key(problem: ReducedProblem) -> Tuple[Tuple, Tuple[int, ...]]:
     completeness = tuple(intern_constant(c) for c in problem.completeness)
     return _canonicalize(problem, completeness)
 
-
-def canonical_key_boxed(problem: ReducedProblem) -> Tuple:
-    """The pre-interning key (Fractions compared by value), kept as the
-    reference for the key-agreement property tests and the E17 benchmark.
-    """
-    return _canonicalize(problem, problem.completeness)[0]

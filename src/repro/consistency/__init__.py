@@ -9,7 +9,6 @@ from repro.consistency.bounds import (
 from repro.consistency.checker import (
     check_consistency,
     is_consistent,
-    quotient_valuations,
 )
 from repro.consistency.identity import check_identity
 from repro.consistency.parallel import (
@@ -25,7 +24,6 @@ __all__ = [
     "check_identity",
     "independent_groups",
     "is_consistent",
-    "quotient_valuations",
     "size_bound",
     "constant_bound",
     "canonical_domain",

@@ -23,16 +23,9 @@ over an explicit finite domain with
 
 from __future__ import annotations
 
-from itertools import product
-from typing import Iterator, List, Optional, Sequence, Set
-
 from repro.exceptions import SourceError
 from repro.model.database import GlobalDatabase
-from repro.model.terms import Constant, FreshConstantFactory, Variable
-from repro.model.valuation import Valuation
 from repro.sources.collection import SourceCollection
-from repro.tableaux.construction import allowable_combinations, template_for_combination
-from repro.tableaux.tableau import Tableau
 from repro.consistency.identity import check_identity
 from repro.consistency.result import ConsistencyResult
 
@@ -52,35 +45,6 @@ def _reject_builtins(collection: SourceCollection) -> None:
             )
 
 
-def quotient_valuations(
-    variables: Sequence[Variable], constants: Sequence[Constant]
-) -> Iterator[Valuation]:
-    """All valuations of *variables* over *constants* plus fresh constants,
-    canonical up to renaming of the fresh part.
-
-    Fresh constants are introduced in restricted-growth order (a variable may
-    map to fresh constant #j only if #0..#j−1 are already used), so each
-    identification pattern is enumerated exactly once.
-    """
-    variables = sorted(variables)
-    factory = FreshConstantFactory(taken=constants, prefix="_q")
-    fresh_pool: List[Constant] = [factory.fresh() for _ in range(len(variables))]
-
-    def extend(index: int, images: List[Constant], used_fresh: int) -> Iterator[Valuation]:
-        if index == len(variables):
-            yield Valuation(dict(zip(variables, images)))
-            return
-        for c in constants:
-            yield from extend(index + 1, images + [c], used_fresh)
-        for j in range(used_fresh + 1):
-            if j < len(fresh_pool):
-                yield from extend(
-                    index + 1, images + [fresh_pool[j]], max(used_fresh, j + 1)
-                )
-
-    yield from extend(0, [], 0)
-
-
 def check_consistency(
     collection: SourceCollection,
     max_quotients: int = DEFAULT_MAX_QUOTIENTS,
@@ -93,9 +57,9 @@ def check_consistency(
 
     The generic search runs over the interned representation
     (:mod:`repro.consistency.coresearch`); it visits combinations and
-    quotient valuations in the same order as the preserved boxed baseline
-    :func:`check_consistency_boxed`, so verdicts, witnesses, counters and
-    truncation points are identical.
+    quotient valuations in the same order as the boxed search kept in
+    ``tests/oracles/``, so verdicts, witnesses, counters and truncation
+    points are identical.
     """
     if not collection.sources:
         return ConsistencyResult(
@@ -108,79 +72,6 @@ def check_consistency(
     from repro.consistency.coresearch import core_check_consistency
 
     return core_check_consistency(collection, max_quotients, max_combinations)
-
-
-def check_consistency_boxed(
-    collection: SourceCollection,
-    max_quotients: int = DEFAULT_MAX_QUOTIENTS,
-    max_combinations: int = DEFAULT_MAX_COMBINATIONS,
-) -> ConsistencyResult:
-    """The pre-interning object-level search, kept for benchmarks and
-    differential tests (``tests/core/``, ``benchmarks/bench_e17_core.py``).
-
-    Semantically identical to :func:`check_consistency`; every candidate
-    database here is a frozenset of boxed atoms and every ``poss(S)`` test
-    evaluates views over :class:`~repro.model.atoms.Atom` objects.
-    """
-    if not collection.sources:
-        return ConsistencyResult(
-            consistent=True, witness=GlobalDatabase(), method="empty-collection"
-        )
-    if collection.identity_relation() is not None:
-        return check_identity(collection)
-    _reject_builtins(collection)
-
-    base_constants = sorted(collection.all_constants())
-    combinations_tried = 0
-    truncated = False
-
-    # Pass 1: canonical freeze of every combination (cheap, often decisive).
-    frozen_attempts: List[Tableau] = []
-    for combination in allowable_combinations(collection):
-        combinations_tried += 1
-        if combinations_tried > max_combinations:
-            truncated = True
-            break
-        template = template_for_combination(collection, combination)
-        tableau = template.tableaux[0]
-        frozen, _ = tableau.freeze(base_constants)
-        witness = GlobalDatabase(frozen.atoms)
-        if collection.admits(witness):
-            return ConsistencyResult(
-                consistent=True,
-                witness=witness,
-                method="canonical-freeze",
-                combinations_tried=combinations_tried,
-            )
-        frozen_attempts.append(tableau)
-
-    # Pass 2: complete quotient search over each combination's tableau.
-    quotients_tried = 0
-    for tableau in frozen_attempts:
-        for valuation in quotient_valuations(
-            sorted(tableau.variables()), base_constants
-        ):
-            quotients_tried += 1
-            if quotients_tried > max_quotients:
-                truncated = True
-                break
-            witness = GlobalDatabase(tableau.substitute(valuation).atoms)
-            if collection.admits(witness):
-                return ConsistencyResult(
-                    consistent=True,
-                    witness=witness,
-                    method="quotient-search",
-                    combinations_tried=combinations_tried,
-                )
-        if truncated:
-            break
-
-    return ConsistencyResult(
-        consistent=False,
-        decisive=not truncated,
-        method="exhausted" if not truncated else "truncated",
-        combinations_tried=combinations_tried,
-    )
 
 
 def is_consistent(collection: SourceCollection) -> bool:

@@ -10,7 +10,8 @@ so the enumeration path never constructs a model object and never interns a
 transient fact into the process-wide table (enforced by
 ``tools/check_no_boxed_hotpath.py``).
 
-Fidelity to the boxed search is exact:
+Fidelity to the boxed search (kept in ``tests/oracles/`` as the
+differential oracle) is exact:
 
 * fresh constants reuse the boxed factories (prefixes ``_frz`` / ``_q``
   against the same taken sets), so witnesses are equal as fact sets;
@@ -38,11 +39,10 @@ def core_check_consistency(
 ) -> ConsistencyResult:
     """The generic (non-identity, builtin-free) search, over interned IDs.
 
-    Mirrors passes 1 and 2 of the boxed
-    :func:`repro.consistency.checker.check_consistency_boxed` exactly — same
-    visit order, same counters, same truncation semantics — with every
-    candidate ``poss(S)`` membership test running on integer argument
-    tuples.
+    Mirrors passes 1 and 2 of the boxed search in ``tests/oracles/``
+    exactly — same visit order, same counters, same truncation semantics —
+    with every candidate ``poss(S)`` membership test running on integer
+    argument tuples.
     """
     table = global_table()
     core_collection = collection.core()

@@ -23,8 +23,9 @@ dense integer ID and lets the hot paths speak integers natively:
   it reaches the interned fast paths underneath.
 * :mod:`repro.core.views` — ID-level conjunctive views and the
   soundness/completeness ``admits`` predicate over :class:`IFactSet`.
-* :mod:`repro.core.baseline` — the boxed reference implementations kept
-  for differential tests and the E17 boxed-vs-interned benchmark.
+
+The boxed algorithms these paths replaced live in ``tests/oracles/``, where
+the differential tests hold the interned paths to them.
 
 See ``docs/core.md`` for the representation, the interning invariants, and
 the adapter boundary contract.

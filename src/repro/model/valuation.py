@@ -74,6 +74,10 @@ class Substitution:
     def __hash__(self) -> int:
         return self._hash
 
+    def __reduce__(self):
+        # Rebuilt from the map, so the hash is the loading process's.
+        return (type(self), (self._map,))
+
     def __repr__(self) -> str:
         inner = ", ".join(f"{v}/{t}" for v, t in sorted(
             self._map.items(), key=lambda kv: kv[0].name))

@@ -22,9 +22,9 @@ interned core (:mod:`repro.plan.ir`), with:
 Every evaluator in the repo routes here: ``queries.evaluation.evaluate``,
 the algebra interpreter, the rewriting executor, tableaux query answering,
 per-world confidence evaluation, and the mediator service's query requests.
-The pre-existing backtracking and naive evaluators survive as differential
-oracles (``evaluate_backtracking`` / ``evaluate_naive``), same pattern as
-:mod:`repro.core.baseline`.
+The tests hold every compiled plan to ``repro.queries.evaluate_naive``, the
+definition of φ(D), and to the boxed backtracking join kept in
+``tests/oracles/``.
 """
 
 from repro.plan.analyze import (

@@ -104,8 +104,8 @@ def _registry_token(query) -> object:
     Builtin-free queries share plans across registries (token 0). For the
     rest, a plain function with no closure, defaults, or bound self is
     identified by its code object — every ``default_registry()`` call builds
-    fresh lambdas, but lambdas from one source expression share one code
-    object, so independently parsed queries still share plans. Anything
+    a fresh registry, but around the same module-level functions, so
+    independently parsed queries still share plans. Anything
     fancier (closures, partials) falls back to the registry's identity,
     which is safe because the cached plan holds a reference to the registry
     — its id cannot be recycled while the entry lives.

@@ -18,8 +18,7 @@ A data source lives on its fact set (:meth:`IFactSet.derived
 <repro.core.factset.IFactSet.derived>`), so evaluating many queries over
 one database — or re-evaluating a workload over the same possible worlds —
 reuses every index instead of rebuilding it per call, and a superseded
-version's indexes leave the heap with the version. This is the structural
-win ``benchmarks/bench_e18_plan.py`` measures: the backtracking evaluator
+version's indexes leave the heap with the version: a backtracking join
 re-derives candidate sets per query per world, while the plan path
 amortizes them across the whole workload.
 
@@ -401,10 +400,9 @@ def decode_answers(plan: CompiledPlan, rows) -> FrozenSet[Atom]:
 def evaluate(query, database) -> FrozenSet[Atom]:
     """``Q(D)`` for a conjunctive query, through the plan pipeline.
 
-    The drop-in replacement for
-    :func:`repro.queries.evaluation.evaluate_backtracking` — identical
-    answers (differentially tested), compiled once per alpha-equivalence
-    class, indexes shared per database.
+    Answer-identical to :func:`repro.queries.evaluation.evaluate_naive`
+    (differentially tested), compiled once per alpha-equivalence class,
+    indexes shared per database.
     """
     from repro.plan.compiler import plan_for
 

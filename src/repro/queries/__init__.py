@@ -19,15 +19,9 @@ from repro.queries.containment import (
     is_equivalent,
     minimize,
 )
-from repro.queries.index import (
-    DatabaseIndex,
-    evaluate_indexed,
-    indexed_valuations,
-)
 from repro.queries.evaluation import (
     derives,
     evaluate,
-    evaluate_backtracking,
     evaluate_naive,
     order_body,
     supporting_valuation,
@@ -50,12 +44,8 @@ __all__ = [
     "answer_query",
     "ANSWER_RELATION",
     "evaluate",
-    "evaluate_backtracking",
     "evaluate_naive",
-    "evaluate_indexed",
     "order_body",
-    "DatabaseIndex",
-    "indexed_valuations",
     "valuations",
     "derives",
     "supporting_valuation",

@@ -91,18 +91,45 @@ class BuiltinRegistry:
         return builtin.check(values)
 
 
+# Module-level predicates, not lambdas: a parsed query carries this
+# registry, and a module-level function pickles by name, so the query can
+# be shipped to a worker process. Plan keys identify each by its code object.
+def _gt(x, y) -> bool:
+    return x > y
+
+
+def _lt(x, y) -> bool:
+    return x < y
+
+
+def _ge(x, y) -> bool:
+    return x >= y
+
+
+def _le(x, y) -> bool:
+    return x <= y
+
+
+def _eq(x, y) -> bool:
+    return x == y
+
+
+def _ne(x, y) -> bool:
+    return x != y
+
+
 def default_registry() -> BuiltinRegistry:
     """The standard registry: After/Before plus six comparison predicates."""
     return BuiltinRegistry(
         [
-            Builtin("After", 2, lambda x, y: x > y),
-            Builtin("Before", 2, lambda x, y: x < y),
-            Builtin("Lt", 2, lambda x, y: x < y),
-            Builtin("Le", 2, lambda x, y: x <= y),
-            Builtin("Gt", 2, lambda x, y: x > y),
-            Builtin("Ge", 2, lambda x, y: x >= y),
-            Builtin("Eq", 2, lambda x, y: x == y),
-            Builtin("Neq", 2, lambda x, y: x != y),
+            Builtin("After", 2, _gt),
+            Builtin("Before", 2, _lt),
+            Builtin("Lt", 2, _lt),
+            Builtin("Le", 2, _le),
+            Builtin("Gt", 2, _gt),
+            Builtin("Ge", 2, _ge),
+            Builtin("Eq", 2, _eq),
+            Builtin("Neq", 2, _ne),
         ]
     )
 

@@ -157,6 +157,10 @@ class ConjunctiveQuery:
     def __hash__(self) -> int:
         return self._hash
 
+    def __reduce__(self):
+        # Rebuilt from its parts, so the hash is the loading process's.
+        return (ConjunctiveQuery, (self.head, self.body, self.builtins))
+
     def __str__(self) -> str:
         body = ", ".join(str(b) for b in self.body)
         return f"{self.head} <- {body}"

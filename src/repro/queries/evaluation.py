@@ -3,22 +3,21 @@
 :func:`evaluate` routes through the compiled plan pipeline
 (:mod:`repro.plan`): queries compile once per alpha-equivalence class into
 interned scans and hash joins, and per-database indexes are shared across
-calls. The original backtracking join survives unchanged as
-:func:`evaluate_backtracking` — the differential oracle (same pattern as
-``repro.core.baseline``) and still the engine behind
-:func:`supporting_valuation`, which needs witness substitutions rather than
-answer sets. A naive cross-product evaluator is kept as a second oracle.
+calls. :func:`valuations` is the backtracking join over boxed atoms, kept
+for :func:`supporting_valuation`, which needs witness substitutions rather
+than answer sets. :func:`evaluate_naive` is the cross product of the
+definition of φ(D), the oracle the tests hold every evaluator to.
 """
 
 from __future__ import annotations
 
 from itertools import product
-from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.exceptions import BuiltinError
 from repro.model.atoms import Atom
 from repro.model.database import GlobalDatabase
-from repro.model.terms import Constant, Variable, term_sort_key
+from repro.model.terms import Variable, term_sort_key
 from repro.model.valuation import Substitution, match_atom
 from repro.queries.conjunctive import ConjunctiveQuery
 
@@ -38,8 +37,8 @@ def order_body(atoms: Sequence[Atom]) -> List[Atom]:
     relation name, its argument terms (:func:`term_sort_key` gives a total
     order over mixed constants/variables), and finally the original body
     position, so the chosen order is a pure function of the atom multiset.
-    Shared by the backtracking evaluator, the hash-index evaluator, and the
-    plan compiler, which keeps all three executors join-order-aligned.
+    Shared by :func:`valuations` and the plan compiler's static order, so
+    both join in the same order.
     """
     items = list(enumerate(atoms))
     bound: Set[Variable] = set()
@@ -121,24 +120,12 @@ def valuations(
     yield from extend(0, Substitution(), initial_pending)
 
 
-def evaluate_backtracking(
-    query: ConjunctiveQuery, database: GlobalDatabase
-) -> FrozenSet[Atom]:
-    """``Q(D)`` by backtracking join — the differential oracle for the plans."""
-    out: Set[Atom] = set()
-    for subst in valuations(query, database):
-        head = subst.apply(query.head)
-        if head.is_ground():
-            out.add(head)
-    return frozenset(out)
-
-
 def evaluate(query: ConjunctiveQuery, database: GlobalDatabase) -> FrozenSet[Atom]:
     """``Q(D)``: the set of ground head facts produced by the query.
 
     Routes through :mod:`repro.plan` — compiled once per alpha-equivalence
     class, executed over cached interned scans and hash-join indexes.
-    Answer-identical to :func:`evaluate_backtracking` (property-tested in
+    Answer-identical to :func:`evaluate_naive` (property-tested in
     ``tests/property/test_plan_equivalence.py``).
     """
     from repro.plan import evaluate as _plan_evaluate

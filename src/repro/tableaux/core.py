@@ -161,13 +161,12 @@ def quotient_valuations_ids(
     """All valuations of *variables* over *constants* plus fresh constants,
     canonical up to renaming of the fresh part.
 
-    The ID mirror of
-    :func:`repro.consistency.checker.quotient_valuations`: fresh constants
-    (pre-interned by the boundary, one per variable) are introduced in
-    restricted-growth order — a variable may map to fresh constant #j only
-    when #0..#j−1 are already in use — so each identification pattern is
-    enumerated exactly once. The enumeration order matches the boxed
-    implementation image-for-image.
+    The ID mirror of the boxed ``quotient_valuations`` in
+    ``tests/oracles/``: fresh constants (pre-interned by the boundary, one
+    per variable) are introduced in restricted-growth order — a variable
+    may map to fresh constant #j only when #0..#j−1 are already in use — so
+    each identification pattern is enumerated exactly once. The
+    enumeration order matches the boxed implementation image-for-image.
     """
     n = len(variables)
     images: List[int] = [0] * n

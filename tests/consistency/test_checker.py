@@ -9,9 +9,10 @@ from repro.sources import SourceCollection, SourceDescriptor
 from repro.consistency import (
     check_consistency,
     is_consistent,
-    quotient_valuations,
     verify_witness,
 )
+
+from tests.oracles import quotient_valuations
 
 
 class TestDispatch:

@@ -81,3 +81,38 @@ def test_lint_flags_fresh_boxing_of_a_decoded_constant(tmp_path):
     assert result.returncode == 1
     assert "anywhere/decoder.py:1" in result.stdout
     assert "shared.py" not in result.stdout
+
+
+def test_lint_flags_a_naive_evaluator_in_a_routed_module(tmp_path):
+    # Routed modules answer queries through repro.plan only.
+    modules = {
+        "confidence/answers.py": "answers = evaluate_naive(query, world)\n",
+        "confidence/worlds.py": (
+            "answers = evaluate_naive(query, world)  # boxed-ok: reason\n"
+        ),
+        "service/scheduler.py": (
+            "from repro.queries.evaluation import valuations\n"
+        ),
+        "service/server.py": "answers = evaluate(query, world)\n",
+        "rewriting/executor.py": '"""Docstrings may say evaluate_naive( freely."""\n',
+        "tableaux/query_answers.py": "x = 1\n",
+    }
+    for relative, text in modules.items():
+        path = tmp_path / "src" / "repro" / relative
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    result = subprocess.run(
+        [
+            sys.executable,
+            str(REPO_ROOT / "tools" / "check_no_boxed_hotpath.py"),
+            str(tmp_path),
+        ],
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 1
+    assert "confidence/answers.py:1" in result.stdout
+    assert "service/scheduler.py:1" in result.stdout
+    assert "worlds.py" not in result.stdout  # waiver honoured
+    assert "server.py" not in result.stdout  # plan evaluation is allowed
+    assert "rewriting/executor.py" not in result.stdout  # docstring ignored

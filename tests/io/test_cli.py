@@ -46,6 +46,21 @@ class TestCheck:
         assert main(["check", inconsistent_file]) == 1
         assert "INCONSISTENT" in capsys.readouterr().out
 
+    def test_workers_ship_parsed_views_to_the_pool(self, tmp_path, capsys):
+        # Two independent groups reach the process pool, which unpickles
+        # the parsed views together with their builtin registry.
+        path = tmp_path / "two_groups.sources"
+        path.write_text(
+            "source S1 completeness=1/2 soundness=1/2\n"
+            "view V1(x) <- R(x)\n"
+            'fact V1("a")\n'
+            "source S2 completeness=1/2 soundness=1/2\n"
+            "view V2(x) <- P(x)\n"
+            'fact V2("b")\n'
+        )
+        assert main(["check", str(path), "--workers", "2"]) == 0
+        assert "independent-groups[2]" in capsys.readouterr().out
+
     def test_missing_file_exit_two(self, capsys):
         assert main(["check", "/nonexistent/file"]) == 2
         assert "error:" in capsys.readouterr().err

@@ -1,4 +1,4 @@
-"""Boxed terms and atoms pickle by value, not by their cached hash.
+"""Boxed model objects pickle by value, not by their cached hash.
 
 String hashes depend on ``PYTHONHASHSEED``, and spawn or forkserver
 worker pools start each worker under its own seed. An object that carried
@@ -16,12 +16,20 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[2] / "src"
 
 OBJECTS = """
-from repro.model import Atom, Constant, Variable
+from repro.model import Atom, Constant, Substitution, Valuation, Variable
+from repro.queries import ConjunctiveQuery, parse_rule
 objects = [
     Constant("a"),
     Variable("x"),
     Atom("R", (Constant("a"), Variable("x"), 7)),
     Atom.from_constants("S", (Constant("b"), Constant(("t", 1)))),
+    ConjunctiveQuery(
+        Atom("V", (Variable("x"),)),
+        [Atom("R", (Variable("x"), Constant("a")))],
+    ),
+    Substitution({Variable("x"): Variable("y"), Variable("z"): Constant(1)}),
+    Valuation({Variable("x"): Constant("a")}),
+    parse_rule("V(x) <- R(x, y), Lt(x, y)"),
 ]
 """
 

@@ -19,7 +19,9 @@ from repro.plan import (
     explain_analyze,
     statistics_for,
 )
-from repro.queries import evaluate_backtracking, evaluate_naive, parse_rule
+from repro.queries import evaluate_naive, parse_rule
+
+from tests.oracles import evaluate_backtracking
 
 
 @pytest.fixture

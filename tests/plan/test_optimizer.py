@@ -22,13 +22,25 @@ from repro.plan.optimizer import (
     optimizer_stats,
     q_error,
 )
-from repro.queries import evaluate_backtracking, parse_rule
+from repro.queries import parse_rule
+
+from tests.oracles import evaluate_backtracking
 
 
 def skewed_database(big=200, small=4):
     return GlobalDatabase(
         [fact("Big", f"k{i % 10}", f"z{i}") for i in range(big)]
         + [fact("Small", f"x{i}", f"k{i}") for i in range(small)]
+    )
+
+
+def chain_world(m):
+    """E19's skewed chain: each of m // 200 join keys has 200 ``Big`` rows."""
+    keys = max(1, m // 200)
+    return GlobalDatabase(
+        [fact("Big", f"k{i % keys}", f"z{i}") for i in range(m)]
+        + [fact("Mid", f"x{i % 1000}", f"k{i % keys}") for i in range(m // 10)]
+        + [fact("Tiny", f"x{i * 97 % 1000}", f"w{i}") for i in range(10)]
     )
 
 
@@ -113,6 +125,24 @@ class TestJoinOrder:
             tuple(c.value for c in a.args)
             for a in evaluate_backtracking(query, database)
         }
+        assert answers(static, source, table) == expected
+        assert answers(optimized, source, table) == expected
+
+    def test_three_way_chain_reorders_without_changing_answers(self):
+        database = chain_world(400)  # E19's check, at a small m
+        core = database.core()
+        table = global_table()
+        query = parse_rule("ans(x, z) <- Big(y, z), Mid(x, y), Tiny(x, w)")
+        static = compile_query(query, table)
+        optimized = compile_query(query, table, stats=statistics_for(core))
+        assert static.scan_nodes[0].relation == "Big"
+        assert optimized.scan_nodes[0].relation == "Tiny"
+        source = data_source_for(core)
+        expected = {
+            tuple(c.value for c in a.args)
+            for a in evaluate_backtracking(query, database)
+        }
+        assert expected
         assert answers(static, source, table) == expected
         assert answers(optimized, source, table) == expected
 

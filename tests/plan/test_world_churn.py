@@ -1,10 +1,11 @@
 """Plan answers equal backtracking over many small per-world databases.
 
-The answer-identity checks of the retired E21 benchmark, kept as a test:
-the E18 pool of perturbed ~60-fact worlds evaluated cold and then warm,
-and 1,500 distinct worlds streamed once each under a tight byte budget.
-Each world's data source lives and dies with the world, so neither reuse
-nor churn may change an answer.
+The answer-identity checks of the retired E18 and E21 benchmarks, kept as
+tests: E18's pool of perturbed ~60-fact worlds evaluated cold and then
+warm, E18's batch of alpha-renamed queries, and 1,500 distinct worlds
+streamed once each under a tight byte budget. Each world's data source
+lives and dies with the world, so neither reuse nor churn may change an
+answer.
 """
 
 from __future__ import annotations
@@ -13,10 +14,22 @@ import random
 
 from repro.cache import set_cache_budget_mb
 from repro.model import GlobalDatabase, fact
-from repro.plan import evaluate
-from repro.queries import evaluate_backtracking, parse_rule
+from repro.core import global_table
+from repro.plan import evaluate, plan_key
+from repro.queries import parse_rule
+
+from tests.oracles import evaluate_backtracking
 
 JOIN = parse_rule("ans(x, z) <- E(x, y), F(y, z)")
+
+RENAME_SHAPES = [
+    "ans({0}, {2}) <- E({0}, {1}), F({1}, {2})",
+    "ans({0}) <- E({0}, {1}), E({1}, {0})",
+    "ans({0}, {1}) <- E({0}, {1})",
+    "ans({1}) <- F({0}, {1})",
+    "ans({0}, {2}) <- E({0}, {1}), F({1}, {2}), Lt({0}, {2})",
+]
+RENAMINGS = [("x", "y", "z"), ("a", "b", "c"), ("p", "q", "r"), ("u", "v", "w")]
 
 
 def world_pool(size: int = 50, seed: int = 18):
@@ -54,6 +67,16 @@ def test_warm_pool_matches_backtracking():
     for _round in ("cold", "warm"):
         for world in worlds:
             assert evaluate(JOIN, world) == evaluate_backtracking(JOIN, world)
+
+
+def test_renamed_queries_match_backtracking_and_share_plans():
+    world = world_pool(1, seed=99)[0]
+    table = global_table()
+    for shape in RENAME_SHAPES:
+        queries = [parse_rule(shape.format(*names)) for names in RENAMINGS]
+        assert len({plan_key(q, table) for q in queries}) == 1, shape
+        for query in queries:
+            assert evaluate(query, world) == evaluate_backtracking(query, world)
 
 
 def test_churn_worlds_match_backtracking_under_a_budget():

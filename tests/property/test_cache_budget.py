@@ -19,9 +19,10 @@ from repro.confidence import ConfidenceEngine
 from repro.exceptions import InconsistentCollectionError
 from repro.model import fact
 from repro.plan import evaluate as plan_evaluate
-from repro.queries import evaluate_backtracking, parse_rule
+from repro.queries import parse_rule
 from repro.shard import PartitionSpec, evaluate_sharded
 
+from tests.oracles import evaluate_backtracking
 from tests.property.strategies import (
     VALUES,
     binary_databases,

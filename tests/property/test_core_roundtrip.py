@@ -38,11 +38,12 @@ from repro.core import (
 )
 from repro.confidence.blocks import IdentityInstance
 from repro.confidence.engine import kernel
-from repro.confidence.engine.memo import canonical_key, canonical_key_boxed
+from repro.confidence.engine.memo import canonical_key
 from repro.model import Atom, Constant, GlobalDatabase, Variable, fact
 from repro.queries.conjunctive import ConjunctiveQuery
 from repro.sources import SourceCollection
 
+from tests.oracles import canonical_key_boxed
 from tests.property.strategies import (
     binary_databases,
     identity_collections,

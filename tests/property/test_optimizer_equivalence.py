@@ -18,8 +18,9 @@ from repro.plan import (
 )
 from repro.plan.analyze import analyze_plan
 from repro.plan.statistics import TableStatistics
-from repro.queries import evaluate_backtracking, evaluate_naive, parse_rule
+from repro.queries import evaluate_naive, parse_rule
 
+from tests.oracles import evaluate_backtracking
 from tests.property.strategies import binary_databases
 
 JOIN_QUERIES = [

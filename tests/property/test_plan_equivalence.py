@@ -13,12 +13,9 @@ from repro.confidence.engine.memo import LRUMemo
 from repro.core.symbols import SymbolTable
 from repro.plan import evaluate as plan_evaluate
 from repro.plan import evaluate_rows, plan_for, plan_key
-from repro.queries import (
-    evaluate_backtracking,
-    evaluate_naive,
-    parse_rule,
-)
+from repro.queries import evaluate_naive, parse_rule
 
+from tests.oracles import evaluate_backtracking
 from tests.property.strategies import binary_databases
 
 QUERIES = [

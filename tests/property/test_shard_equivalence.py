@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.plan import evaluate as plan_evaluate
-from repro.queries import evaluate_backtracking, parse_rule
+from repro.queries import parse_rule
 from repro.shard import (
     PartitionSpec,
     ShardedDatabase,
@@ -20,6 +20,7 @@ from repro.shard import (
     plan_shards,
 )
 
+from tests.oracles import evaluate_backtracking
 from tests.property.strategies import binary_databases
 
 QUERIES = [

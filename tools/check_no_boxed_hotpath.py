@@ -15,10 +15,9 @@ plain ints (the interned representation itself, e.g. the ID backbone of
 
 The ``repro.plan`` refactor adds a second contract: modules whose query
 evaluation was routed through the compiled-plan pipeline must not drift back
-to calling a pre-plan evaluator directly. ``ROUTED_MODULES`` are checked for
-calls to ``evaluate_backtracking`` / ``evaluate_naive`` /
-``evaluate_indexed`` and for imports from ``repro.queries.evaluation`` —
-the oracles stay available everywhere else (tests, benchmarks, the
+to the boxed evaluators. ``ROUTED_MODULES`` are checked for calls to
+``evaluate_naive`` and for imports from ``repro.queries.evaluation`` — the
+naive oracle stays available everywhere else (tests, benchmarks, the
 rewriting executor's witness path, which carries an explicit waiver).
 
 A third contract covers every module under ``src/``: an interned constant
@@ -65,10 +64,10 @@ ROUTED_MODULES = (
     "src/repro/tableaux/query_answers.py",
 )
 
-#: Direct evaluator use banned in routed modules: calling an oracle
-#: evaluator, or importing from the oracle module at all.
+#: Direct evaluator use banned in routed modules: calling the naive
+#: evaluator, or importing from the boxed evaluation module at all.
 BANNED_ROUTED = re.compile(
-    r"\b(evaluate_backtracking|evaluate_naive|evaluate_indexed)\s*\("
+    r"\bevaluate_naive\s*\("
     r"|from repro\.queries\.evaluation import"
     r"|import repro\.queries\.evaluation\b"
 )
