@@ -10,8 +10,9 @@ interned core (:mod:`repro.plan.ir`), with:
   database's fact set, which constant lookups and scan-side hash joins
   probe,
 * builtin/σ filters applied at the earliest bound point,
-* a canonical-form plan cache keyed by alpha-equivalence
-  (:mod:`repro.plan.compiler` / :mod:`repro.plan.cache`),
+* a canonical-form plan cache keyed by query shape — alpha-equivalence,
+  with the constants of relational body atoms as parameters each call
+  binds (:mod:`repro.plan.compiler` / :mod:`repro.plan.cache`),
 * a cost-based adaptive optimizer (:mod:`repro.plan.optimizer`) fed by a
   statistics catalog (:mod:`repro.plan.statistics`) that picks join orders
   and re-optimizes plans whose runtime feedback shows mis-estimates, and
@@ -37,7 +38,7 @@ from repro.plan.cache import (
     plan_cache_stats_dict,
     shared_plan_cache,
 )
-from repro.plan.compiler import compile_query, plan_for, plan_key
+from repro.plan.compiler import compile_query, plan_for, plan_key, plan_params
 from repro.plan.executor import (
     PlanDataSource,
     data_source_for,
@@ -84,6 +85,7 @@ __all__ = [
     "plan_cache_stats_dict",
     "plan_for",
     "plan_key",
+    "plan_params",
     "plan_stats",
     "reset_optimizer_stats",
     "shared_plan_cache",

@@ -29,6 +29,7 @@ from repro.plan.executor import (
     _hash_join,
     _project,
     data_source_for,
+    explain_text,
     format_est,
     record_feedback,
 )
@@ -49,35 +50,36 @@ Actuals = Dict[int, int]
 
 
 def _run_measured(
-    node: PlanNode, source: PlanDataSource, actuals: Actuals
+    node: PlanNode, source: PlanDataSource, actuals: Actuals, params
 ) -> Sequence[Tuple[int, ...]]:
     """Evaluate *node* and fold its output cardinality into *actuals*."""
-    rows = _eval_measured(node, source, actuals)
+    rows = _eval_measured(node, source, actuals, params)
     actuals[id(node)] = actuals.get(id(node), 0) + len(rows)
     return rows
 
 
 def _eval_measured(
-    node: PlanNode, source: PlanDataSource, actuals: Actuals
+    node: PlanNode, source: PlanDataSource, actuals: Actuals, params
 ) -> Sequence[Tuple[int, ...]]:
     node_type = type(node)
     if node_type is ScanNode:
-        return source.scan_rows(node)
+        return source.scan_rows(node, params)
     if node_type is HashJoinNode:
-        left_rows = _run_measured(node.left, source, actuals)
+        left_rows = _run_measured(node.left, source, actuals, params)
         right = node.right
         if type(right) is not ScanNode:
             return _hash_join(
-                node, left_rows, _run_measured(right, source, actuals), source
+                node, left_rows,
+                _run_measured(right, source, actuals, params), source, params,
             )
-        out = _hash_join(node, left_rows, None, source)
+        out = _hash_join(node, left_rows, None, source, params)
         # Measure the build side even when the probe side came up empty
         # (the hot path would short-circuit; the diagnostic should not). A
         # probed scan's size is known once its column index exists; only
         # otherwise is the scan materialized for the count.
-        size = source.scan_size(right)
+        size = source.scan_size(right, params)
         if size is None:
-            size = len(source.scan_rows(right))
+            size = len(source.scan_rows(right, params))
         actuals[id(right)] = actuals.get(id(right), 0) + size
         return out
     if node_type is FilterNode:
@@ -85,26 +87,28 @@ def _eval_measured(
         table = source.table
         return [
             row
-            for row in _run_measured(node.child, source, actuals)
+            for row in _run_measured(node.child, source, actuals, params)
             if predicate.evaluate(row, table)
         ]
     if node_type is ProjectNode:
         return _project(
-            node.columns, _run_measured(node.child, source, actuals)
+            node.columns, _run_measured(node.child, source, actuals, params)
         )
     if node_type is UnitNode:
         return ((),)
     if node_type is UnionPlanNode:
         return tuple(dict.fromkeys(chain.from_iterable(
-            _run_measured(child, source, actuals) for child in node.children
+            _run_measured(child, source, actuals, params)
+            for child in node.children
         )))
     raise PlanError(f"unknown plan node {node_type.__name__}")
 
 
 def analyze_plan(
-    plan: CompiledPlan, source: PlanDataSource
+    plan: CompiledPlan, source: PlanDataSource, params: Sequence[int] = ()
 ) -> Tuple[frozenset, Actuals]:
-    """Run *plan* measured: ``(answer rows, per-node actual cardinalities)``.
+    """Run *plan* measured under the binding *params*: ``(answer rows,
+    per-node actual cardinalities)``.
 
     Observations flow into the plan's runtime feedback exactly as a normal
     execution's would.
@@ -114,13 +118,16 @@ def analyze_plan(
     for predicate in plan.prefilters:
         if not predicate.evaluate((), table):
             return frozenset(), actuals
-    rows = frozenset(_run_measured(plan.root, source, actuals))
-    record_feedback(plan, source, len(rows))
+    rows = frozenset(_run_measured(plan.root, source, actuals, params))
+    record_feedback(plan, source, len(rows), params)
     return rows, actuals
 
 
-def render_analysis(plan: CompiledPlan, actuals: Actuals, worlds: int = 1) -> str:
-    """The annotated EXPLAIN ANALYZE tree of one (or many) measured runs."""
+def render_analysis(
+    plan: CompiledPlan, actuals: Actuals, query, worlds: int = 1
+) -> str:
+    """The annotated EXPLAIN ANALYZE tree of one (or many) measured runs
+    of *query*."""
 
     def annotate(node: PlanNode) -> str:
         parts = []
@@ -136,7 +143,7 @@ def render_analysis(plan: CompiledPlan, actuals: Actuals, worlds: int = 1) -> st
             return ""
         return "  (" + " ".join(parts) + " rows)"
 
-    return plan.explain(annotate=annotate)
+    return explain_text(plan, query, annotate)
 
 
 def explain_analyze(query, database, table=None) -> str:
@@ -146,13 +153,15 @@ def explain_analyze(query, database, table=None) -> str:
     executes it with per-operator measurement, and renders the annotated
     tree plus a feedback summary line.
     """
-    from repro.plan.compiler import plan_for
+    from repro.plan.compiler import plan_for, plan_params
 
     core = database.core()
     plan = plan_for(query, table=table, facts=core)
     source = data_source_for(core)
-    result, actuals = analyze_plan(plan, source)
-    lines = [render_analysis(plan, actuals), f"answers: {len(result)}"]
+    result, actuals = analyze_plan(
+        plan, source, plan_params(query, plan.table)
+    )
+    lines = [render_analysis(plan, actuals, query), f"answers: {len(result)}"]
     feedback = plan.feedback
     if feedback is not None and feedback.checks:
         line = f"max q-error: {feedback.max_q_error:.2f}"
@@ -170,7 +179,7 @@ def explain_analyze_worlds(query, worlds: Iterable, table=None) -> str:
     rendering reports per-operator means per world — the shape the
     possible-worlds ``answer`` command actually pays for.
     """
-    from repro.plan.compiler import plan_for
+    from repro.plan.compiler import plan_for, plan_params
 
     plan = None
     totals: Actuals = {}
@@ -180,8 +189,9 @@ def explain_analyze_worlds(query, worlds: Iterable, table=None) -> str:
         core = world.core()
         if plan is None:
             plan = plan_for(query, table=table, facts=core)
+            params = plan_params(query, plan.table)
         source = data_source_for(core)
-        result, actuals = analyze_plan(plan, source)
+        result, actuals = analyze_plan(plan, source, params)
         for key, value in actuals.items():
             totals[key] = totals.get(key, 0) + value
         answer_total += len(result)
@@ -189,7 +199,7 @@ def explain_analyze_worlds(query, worlds: Iterable, table=None) -> str:
     if plan is None:
         return "no possible worlds to analyze"
     lines = [
-        render_analysis(plan, totals, worlds=world_count),
+        render_analysis(plan, totals, query, worlds=world_count),
         (
             f"worlds analyzed: {world_count}, "
             f"mean answers/world: {answer_total / world_count:.1f}"

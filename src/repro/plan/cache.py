@@ -1,8 +1,10 @@
 """The canonical-form plan cache.
 
 Compiled plans are pure functions of the query's *canonical form* — the
-alpha-equivalence key rendered by :mod:`repro.plan.compiler` — so one cache
-entry serves every variable-renaming of a query. The cache itself is an
+query-shape key rendered by :mod:`repro.plan.compiler` — so one cache
+entry serves every variable-renaming of a query and, for a conjunctive
+query, every variant of its relational body constants (each call binds
+its own). The cache itself is an
 :class:`~repro.cache.runtime.LRUMemo` from the unified cache runtime,
 enrolled in the process-wide registry as ``"plan.plans"`` — under the
 global byte budget; its stats surface in ``repro.cli --stats`` JSON, the

@@ -10,7 +10,8 @@ Both query languages compile into one IR (:mod:`repro.plan.ir`):
   available; the first atom becomes a :class:`~repro.plan.ir.ScanNode` and
   each later one the build side of a :class:`~repro.plan.ir.HashJoinNode`
   keyed on every variable already bound; constants and repeated variables
-  push into the scans; builtin atoms become
+  push into the scans, each constant as a numbered **parameter slot** that
+  every execution binds (:func:`plan_params`); builtin atoms become
   :class:`~repro.plan.ir.FilterNode` predicates at the earliest point all
   their variables are bound (ground builtins become per-execution
   prefilters). Optimized plans carry per-operator cardinality estimates, a
@@ -21,18 +22,28 @@ Both query languages compile into one IR (:mod:`repro.plan.ir`):
   the cheapest applicable filter. Nodes outside the known vocabulary raise
   :class:`~repro.plan.ir.PlanError`.
 
-Cache keys quotient out variable naming: variables are numbered by first
-occurrence (head first, then body in written order), constants intern to
-symbol-table IDs. Two alpha-equivalent queries therefore render the same
-key and share one compiled plan — the cache-hit property the per-world
-evaluation loops rely on (tested in
-``tests/property/test_plan_equivalence.py``).
+Cache keys quotient out variable naming and, for conjunctive queries, the
+constants of relational body atoms. A conjunctive key holds relation names,
+variables numbered by first occurrence (head first, then body in written
+order), the head's and builtin atoms' constants as values, a parameter
+slot number (0, 1, ... in written order) for every relational body
+constant, and the builtin-registry token. It names no symbol ID, so it is
+rendered once per query object and kept, with the query's parameter
+values, in the query's ``_plan_shape`` slot (re-rendered only after its
+builtin registry changes). Two alpha-equivalent queries — and two queries
+that differ only in body constants, such as ``ans(v) <- R('k1', v)`` and
+``ans(v) <- R('k2', v)`` — therefore share one key and one compiled plan,
+the cache-hit property the per-world evaluation loops and point lookups
+rely on (tested in ``tests/property/test_plan_equivalence.py`` and
+``tests/property/test_plan_params.py``). Algebra keys intern their
+constants to symbol-table IDs, and an algebra plan keeps them.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
+from repro.core.symbols import global_table
 from repro.exceptions import ModelError
 from repro.model.terms import Constant, Variable
 from repro.plan.cache import shared_plan_cache
@@ -54,71 +65,90 @@ from repro.plan.ir import (
     UnionPlanNode,
     UnitNode,
 )
+from repro.queries.conjunctive import ConjunctiveQuery
 
 
 # -- canonical keys ------------------------------------------------------------
 
-class _VarNumbering:
-    """Variables numbered −1, −2, ... by first occurrence (alpha-invariant)."""
+def _render_cq_shape(query) -> Tuple[Tuple, Tuple]:
+    """``(key, parameter values)`` of a conjunctive query.
 
-    __slots__ = ("_ids",)
+    Variables are numbered −1, −2, ... by first occurrence (head first,
+    then body in written order). Head and builtin constants stay in the key
+    as :class:`Constant` terms (compared by value, never equal to a
+    variable number); each constant of a relational body atom becomes the
+    next parameter slot number 0, 1, ... and its value the next parameter
+    value.
+    """
+    numbers: Dict[Variable, int] = {}
+    values: List = []
 
-    def __init__(self):
-        self._ids: Dict[Variable, int] = {}
-
-    def token(self, variable: Variable) -> int:
-        tok = self._ids.get(variable)
-        if tok is None:
-            tok = -(len(self._ids) + 1)
-            self._ids[variable] = tok
-        return tok
-
-
-def _cq_key(query, table) -> Tuple:
-    numbering = _VarNumbering()
-
-    def term_token(term) -> int:
-        if isinstance(term, Constant):
-            return table.constant(term.value)
-        return numbering.token(term)
+    def tokens(args, parameters: bool) -> Tuple:
+        out = []
+        for term in args:
+            if isinstance(term, Constant):
+                if parameters:
+                    out.append(len(values))
+                    values.append(term.value)
+                else:
+                    out.append(term)
+            else:
+                token = numbers.get(term)
+                if token is None:
+                    token = numbers[term] = -len(numbers) - 1
+                out.append(token)
+        return tuple(out)
 
     registry = query.builtins
-    head = (
-        table.relation(query.head.relation),
-        tuple(term_token(a) for a in query.head.args),
-    )
-    body = tuple(
-        (
-            1 if registry.is_builtin(atom.relation) else 0,
-            table.relation(atom.relation),
-            tuple(term_token(a) for a in atom.args),
-        )
-        for atom in query.body
-    )
-    return ("cq", head, body, _registry_token(query))
+    head = (query.head.relation, tokens(query.head.args, False))
+    body = []
+    builtin_names = []
+    for atom in query.body:
+        if registry.is_builtin(atom.relation):
+            builtin_names.append(atom.relation)
+            body.append((1, atom.relation, tokens(atom.args, False)))
+        else:
+            body.append((0, atom.relation, tokens(atom.args, True)))
+    key = ("cq", head, tuple(body), _registry_token(registry, builtin_names))
+    return key, tuple(values)
 
 
-def _registry_token(query) -> object:
+def _cq_shape(query) -> Tuple[Tuple, Tuple]:
+    """The query's ``(key, parameter values)``, rendered on first use.
+
+    Kept in the query's ``_plan_shape`` slot with the version of its
+    builtin registry: a :meth:`~repro.queries.builtins.BuiltinRegistry.register`
+    since then re-renders it, because which atoms are builtins, and what
+    they compute, may have changed.
+    """
+    version = query.builtins.version
+    shape = query._plan_shape
+    if shape is None or shape[0] != version:
+        shape = (version, *_render_cq_shape(query))
+        query._plan_shape = shape
+    return shape[1], shape[2]
+
+
+def _registry_token(registry, names) -> object:
     """Cache-key component identifying the *behavior* of used builtins.
 
     Builtin-free queries share plans across registries (token 0). For the
     rest, a plain function with no closure, defaults, or bound self is
     identified by its code object — every ``default_registry()`` call builds
     a fresh registry, but around the same module-level functions, so
-    independently parsed queries still share plans. Anything
-    fancier (closures, partials) falls back to the registry's identity,
-    which is safe because the cached plan holds a reference to the registry
-    — its id cannot be recycled while the entry lives.
+    independently parsed queries still share plans (a plan captures its
+    builtins at compile time, so its code objects live as long as it does).
+    Anything fancier (closures, partials) falls back to the registry itself
+    and its version, held by the key. *names* are the builtin relations
+    the query's body uses.
     """
-    builtins = query.builtin_body()
-    if not builtins:
+    if not names:
         return 0
-    registry = query.builtins
     parts = []
-    for name in sorted({atom.relation for atom in builtins}):
+    for name in sorted(set(names)):
         builtin = registry.get(name)
         if builtin is None:
-            return ("registry", id(registry))
+            return ("registry", registry, registry.version)
         predicate = builtin.predicate
         code = getattr(predicate, "__code__", None)
         if (
@@ -128,7 +158,7 @@ def _registry_token(query) -> object:
             or getattr(predicate, "__kwdefaults__", None)
             or getattr(predicate, "__self__", None) is not None
         ):
-            return ("registry", id(registry))
+            return ("registry", registry, registry.version)
         parts.append((name, builtin.arity, id(code)))
     return ("builtins", tuple(parts))
 
@@ -210,34 +240,61 @@ def _algebra_key(node, table) -> Tuple:
 
 
 def plan_key(query, table) -> Tuple:
-    """The alpha-equivalence cache key of a query (CQ or algebra tree)."""
-    from repro.algebra.ast import AlgebraQuery
-    from repro.queries.conjunctive import ConjunctiveQuery
+    """The alpha-equivalence cache key of a query (CQ or algebra tree).
 
-    try:
-        if isinstance(query, ConjunctiveQuery):
-            return _cq_key(query, table)
-        if isinstance(query, AlgebraQuery):
+    A conjunctive query's key names no symbol ID: *table* is read only for
+    algebra trees.
+    """
+    if isinstance(query, ConjunctiveQuery):
+        return _cq_shape(query)[0]
+    from repro.algebra.ast import AlgebraQuery
+
+    if isinstance(query, AlgebraQuery):
+        try:
             return ("ra", _algebra_key(query, table))
-    except ModelError as exc:  # unhashable literal etc: let the boxed path try
-        raise PlanError(str(exc)) from exc
+        except ModelError as exc:  # unhashable literal
+            raise PlanError(str(exc)) from exc
     raise PlanError(f"not a plannable query: {type(query).__name__}")
+
+
+def plan_params(query, table) -> Tuple[int, ...]:
+    """The constant IDs *query* binds to its plan's parameter slots.
+
+    The constants of a conjunctive query's relational body atoms, in
+    written order, interned in *table* (the plan's table); ``()`` for an
+    algebra tree, whose plan fixes its constants at compile time. Bound
+    per call, so a rollback that frees and reassigns a constant's ID cannot
+    leave a stale binding behind.
+    """
+    if isinstance(query, ConjunctiveQuery):
+        values = _cq_shape(query)[1]
+        if values:
+            return tuple(map(table.constant, values))
+    return ()
 
 
 # -- conjunctive-query compilation ---------------------------------------------
 
-def _builtin_predicate(atom, registry, var_cols: Dict[Variable, int], table) -> Predicate:
+def _builtin_predicate(atom, registry, var_cols: Dict[Variable, int]) -> Predicate:
     specs = []
     for term in atom.args:
         if isinstance(term, Constant):
             specs.append(("val", term.value))
         else:
             specs.append(("col", var_cols[term]))
-    return BuiltinPredicate(registry, atom.relation, tuple(specs))
+    builtin = registry.get(atom.relation)
+    if builtin is None:
+        raise PlanError(f"unknown builtin: {atom.relation}")
+    return BuiltinPredicate(builtin, tuple(specs))
 
 
-def _scan_for_atom(atom, table) -> Tuple[ScanNode, List[Variable]]:
-    """A pushdown scan for one body atom, plus its output variables in order."""
+def _scan_for_atom(atom, table, first_slot: int) -> Tuple[ScanNode, List[Variable]]:
+    """A pushdown scan for one relational body atom, plus its output
+    variables in order.
+
+    The atom's constants become parameter slots *first_slot*,
+    *first_slot* + 1, ... in argument order.
+    """
     const_eq: List[Tuple[int, int]] = []
     dup_eq: List[Tuple[int, int]] = []
     first_pos: Dict[Variable, int] = {}
@@ -245,7 +302,7 @@ def _scan_for_atom(atom, table) -> Tuple[ScanNode, List[Variable]]:
     out_vars: List[Variable] = []
     for i, term in enumerate(atom.args):
         if isinstance(term, Constant):
-            const_eq.append((i, table.constant(term.value)))
+            const_eq.append((i, ~(first_slot + len(const_eq))))
         else:
             first = first_pos.get(term)
             if first is None:
@@ -281,7 +338,9 @@ def _compile_cq(
     :class:`~repro.plan.optimizer.PlanFeedback` (*feedback*, or a fresh one)
     for the adaptive loop; *overrides* are observed scan cardinalities from
     a previous execution, fed back during re-optimization. Without
-    statistics the static ``order_body`` order is kept unchanged.
+    statistics the static ``order_body`` order is kept unchanged. Either
+    way the plan serves every query of *query*'s shape: its relational
+    constants are parameter slots, numbered in written order.
     """
     from repro.plan.optimizer import (
         FILTER_SELECTIVITY,
@@ -289,7 +348,7 @@ def _compile_cq(
         choose_join_order,
         optimizer_counters,
     )
-    from repro.queries.evaluation import order_body
+    from repro.queries.evaluation import order_positions
 
     registry = query.builtins
     relational = query.relational_body()
@@ -297,19 +356,24 @@ def _compile_cq(
     pending = []
     for atom in query.builtin_body():
         if atom.is_ground():
-            prefilters.append(_builtin_predicate(atom, registry, {}, table))
+            prefilters.append(_builtin_predicate(atom, registry, {}))
         else:
             pending.append(atom)
+
+    # Scans in written order, so parameter slots follow the key's numbering
+    # whatever order the joins take.
+    scans = []
+    param_count = 0
+    for atom in relational:
+        scan, out_vars = _scan_for_atom(atom, table, param_count)
+        param_count += len(scan.const_eq)
+        scans.append((scan, out_vars, atom))
 
     counters = optimizer_counters()
     optimized = stats is not None and len(relational) >= 2
     optimizer_info: Optional[str] = None
     if optimized:
-        triples = []
-        for atom in relational:
-            scan, out_vars = _scan_for_atom(atom, table)
-            triples.append((scan, out_vars, atom))
-        order = choose_join_order(triples, stats, overrides)
+        order = choose_join_order(scans, stats, overrides)
         steps = [(o.scan, o.out_vars, o.scan_est, o.result_est) for o in order.ordered]
         counters.bump("plans_optimized")
         if feedback is None:
@@ -321,10 +385,10 @@ def _compile_cq(
         if feedback.reopt_count:
             optimizer_info += f" (reopt #{feedback.reopt_count})"
     else:
-        steps = []
-        for atom in order_body(relational):
-            scan, out_vars = _scan_for_atom(atom, table)
-            steps.append((scan, out_vars, None, None))
+        steps = [
+            (scans[i][0], scans[i][1], None, None)
+            for i in order_positions(relational)
+        ]
         feedback = None
         counters.bump("plans_static")
 
@@ -362,9 +426,7 @@ def _compile_cq(
         still = []
         for b in pending:
             if all(v in var_cols for v in b.variables()):
-                root = FilterNode(
-                    root, _builtin_predicate(b, registry, var_cols, table)
-                )
+                root = FilterNode(root, _builtin_predicate(b, registry, var_cols))
                 if prev_est is not None:
                     prev_est = prev_est * FILTER_SELECTIVITY
                     root.est_rows = prev_est
@@ -391,7 +453,7 @@ def _compile_cq(
     root.est_rows = prev_est
     return CompiledPlan(
         "cq", root, tuple(prefilters), query.head.relation, table, key,
-        str(query), optimizer_info=optimizer_info,
+        str(query), param_count=param_count, optimizer_info=optimizer_info,
         scan_nodes=tuple(scan_nodes), feedback=feedback,
     )
 
@@ -639,47 +701,58 @@ def compile_with_key(
 
 
 def plan_for(query, cache=None, table=None, facts=None) -> CompiledPlan:
-    """The cached plan for *query*, compiling on first sight.
+    """The cached plan for *query*'s shape, compiling on first sight.
+
+    Every query of one shape — equal up to variable names and the
+    constants of relational body atoms — shares one plan, whose parameter
+    slots each execution binds to its own query's constants
+    (:func:`plan_params`); the key is rendered once per query object. A
+    hit serves only a plan compiled against *table*: an entry compiled
+    against another symbol table is recompiled and replaced.
 
     *facts* (an :class:`~repro.core.factset.IFactSet`) turns on cost-based
     compilation: first sight profiles the fact set through the statistics
-    catalog and optimizes against it, and a cache hit whose runtime feedback
-    marked the plan stale is **re-optimized** here — recompiled against the
-    current statistics with the observed scan cardinalities overriding the
-    estimates that proved wrong. Cache hits on healthy plans stay a pure
-    dictionary lookup.
+    catalog and optimizes against it. A hit on a plan of two or more
+    relational atoms that was compiled statically (without facts — a
+    static EXPLAIN, say) is replaced by the cost-based plan, and a hit
+    whose runtime feedback marked the plan stale is **re-optimized** —
+    recompiled against the current statistics with the observed scan
+    cardinalities overriding the estimates that proved wrong. Every other
+    hit is a dictionary lookup.
 
     Raises :class:`~repro.plan.ir.PlanError` when the query cannot be
     planned.
     """
-    from repro.core.symbols import global_table
-
     if table is None:
         table = global_table()
     if cache is None:
         cache = shared_plan_cache()
     key = plan_key(query, table)
     hit, plan = cache.lookup(key)
-    if hit:
+    feedback = None
+    if hit and plan.table is table:
+        if facts is None:
+            return plan
         feedback = plan.feedback
-        if feedback is not None and feedback.stale and facts is not None:
-            from repro.plan.optimizer import PlanFeedback, optimizer_counters
-            from repro.plan.statistics import statistics_for
+        if feedback is None:
+            if len(plan.scan_nodes) < 2:
+                return plan
+        elif not feedback.stale:
+            return plan
+    from repro.plan.statistics import statistics_for
 
-            plan = compile_with_key(
-                query, table, key,
-                stats=statistics_for(facts),
-                overrides=dict(feedback.observed),
-                feedback=PlanFeedback(reopt_count=feedback.reopt_count + 1),
-            )
-            optimizer_counters().bump("reoptimizations")
-            cache.store(key, plan)
-        return plan
-    stats = None
-    if facts is not None:
-        from repro.plan.statistics import statistics_for
+    stats = statistics_for(facts) if facts is not None else None
+    if feedback is not None:
+        from repro.plan.optimizer import PlanFeedback, optimizer_counters
 
-        stats = statistics_for(facts)
-    plan = compile_with_key(query, table, key, stats=stats)
+        plan = compile_with_key(
+            query, table, key,
+            stats=stats,
+            overrides=dict(feedback.observed),
+            feedback=PlanFeedback(reopt_count=feedback.reopt_count + 1),
+        )
+        optimizer_counters().bump("reoptimizations")
+    else:
+        plan = compile_with_key(query, table, key, stats=stats)
     cache.store(key, plan)
     return plan

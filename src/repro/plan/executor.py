@@ -12,7 +12,13 @@ and memoizes the two physical artifacts plans read:
   not once per lookup or per join execution;
 * **scan row sets** — the pushdown-filtered, projected rows of each distinct
   :class:`~repro.plan.ir.ScanNode` a plan reads whole (a plan's first scan,
-  a cross product's build side), keyed by the scan's shape.
+  a cross product's build side), keyed by the scan's shape with its
+  parameter slots bound (:meth:`~repro.plan.ir.ScanNode.cache_key`): two
+  point lookups of one shared plan read two cached row sets.
+
+Every operator runs under one **binding**: ``params``, the constant IDs of
+the query being answered, in parameter-slot order
+(:func:`repro.plan.compiler.plan_params`).
 
 A data source lives on its fact set (:meth:`IFactSet.derived
 <repro.core.factset.IFactSet.derived>`), so evaluating many queries over
@@ -77,32 +83,34 @@ class PlanDataSource:
         self._columns: Dict[Tuple[int, int, Tuple[int, ...]], Index] = {}
         self._sizes: Dict[Tuple[int, int], int] = {}
 
-    def scan_rows(self, node: ScanNode) -> Rows:
-        """The scan's output rows (computed once per scan shape)."""
-        key = node.cache_key()
+    def scan_rows(self, node: ScanNode, params: Sequence[int] = ()) -> Rows:
+        """The scan's output rows under *params* (computed once per scan
+        shape and binding)."""
+        key = node.cache_key(params)
         rows = self._scans.get(key)
         if rows is None:
-            rows = self._build_scan(node)
+            rows = self._build_scan(node, node.bind(params))
             self._scans[key] = rows
         return rows
 
-    def _build_scan(self, node: ScanNode) -> Rows:
-        const_eq = node.const_eq
+    def _build_scan(self, node: ScanNode, const_eq) -> Rows:
         if const_eq:
-            positions = tuple(pos for pos, _cid in const_eq)
             key = (
                 const_eq[0][1] if len(const_eq) == 1
                 else tuple(cid for _pos, cid in const_eq)
             )
-            bucket = self.column_index(node.rid, node.arity, positions).get(key)
-            return _scan_filter(node, bucket) if bucket else _EMPTY_ROWS
+            index = self.column_index(node.rid, node.arity, node.positions)
+            bucket = index.get(key)
+            # The bucket holds exactly the tuples of this arity with these
+            # constants at these positions: only dup_eq and output remain.
+            return _scan_filter(node, bucket, ()) if bucket else _EMPTY_ROWS
         grouped = self.grouped.get(node.rid)
         if not grouped:
             return _EMPTY_ROWS
         if node.plain:
             arity = node.arity
             return tuple(args for args in grouped if len(args) == arity)
-        return _scan_filter(node, grouped)
+        return _scan_filter(node, grouped, const_eq)
 
     def column_index(
         self, rid: int, arity: int, positions: Tuple[int, ...]
@@ -126,8 +134,11 @@ class PlanDataSource:
             self._sizes[rid, arity] = sum(map(len, index.values()))
         return index
 
-    def scan_size(self, node: ScanNode) -> Optional[int]:
-        """The scan's row count if already known, else ``None``.
+    def scan_size(
+        self, node: ScanNode, params: Sequence[int] = ()
+    ) -> Optional[int]:
+        """The scan's row count under *params* if already known, else
+        ``None``.
 
         Known when the scan's rows were built, or — for a plain scan, whose
         rows are the relation's tuples — once any column index over its
@@ -135,7 +146,7 @@ class PlanDataSource:
         pass reads actual scan cardinalities through this, so recording
         observations costs no work the plan's own execution did not pay.
         """
-        rows = self._scans.get(node.cache_key())
+        rows = self._scans.get(node.cache_key(params))
         if rows is not None:
             return len(rows)
         if node.plain:
@@ -147,10 +158,12 @@ class PlanDataSource:
         return len(self._scans), len(self._columns)
 
 
-def _scan_filter(node: ScanNode, rows: Sequence[Tuple[int, ...]]) -> Rows:
-    """Argument tuples through a scan's pushdowns and projection, deduped."""
+def _scan_filter(
+    node: ScanNode, rows: Sequence[Tuple[int, ...]], const_eq
+) -> Rows:
+    """Argument tuples through a scan's pushdowns and projection, deduped;
+    *const_eq* is the scan's constant equalities under one binding."""
     arity = node.arity
-    const_eq = node.const_eq
     dup_eq = node.dup_eq
     kept = []
     for args in rows:
@@ -242,8 +255,9 @@ def data_sources_built() -> int:
 
 # -- the interpreter -----------------------------------------------------------
 
-def _probed_scan(node: ScanNode, get):
-    """A bucket lookup that runs each probed bucket through *node*'s scan.
+def _probed_scan(node: ScanNode, get, const_eq):
+    """A bucket lookup that runs each probed bucket through *node*'s scan
+    (its constant equalities bound to *const_eq*).
 
     For build-side scans that are not plain: a bucket holds raw argument
     tuples, so each distinct probed key is filtered, projected and
@@ -256,7 +270,7 @@ def _probed_scan(node: ScanNode, get):
         rows = scanned.get(key)
         if rows is None:
             bucket = get(key)
-            rows = _scan_filter(node, bucket) if bucket else _EMPTY_ROWS
+            rows = _scan_filter(node, bucket, const_eq) if bucket else _EMPTY_ROWS
             scanned[key] = rows
         return rows
 
@@ -268,6 +282,7 @@ def _hash_join(
     left_rows: Sequence[Tuple[int, ...]],
     right_rows: Optional[Sequence[Tuple[int, ...]]],
     source: PlanDataSource,
+    params: Sequence[int],
 ) -> List[Tuple[int, ...]]:
     """Join *left_rows* against the build side.
 
@@ -284,7 +299,7 @@ def _hash_join(
     left_keys = node.left_keys
     if not left_keys:
         if right_rows is None:
-            right_rows = source.scan_rows(right)
+            right_rows = source.scan_rows(right, params)
         for lrow in left_rows:
             for rrow in right_rows:
                 out.append(lrow + rrow)
@@ -295,7 +310,7 @@ def _hash_join(
             right.rid, right.arity, tuple(output[c] for c in node.right_keys)
         ).get
         if not right.plain:
-            get = _probed_scan(right, get)
+            get = _probed_scan(right, get, right.bind(params))
     else:
         get = _build_index(right_rows, node.right_keys).get
     probe = itemgetter(*left_keys)
@@ -307,46 +322,55 @@ def _hash_join(
     return out
 
 
-def _run(node: PlanNode, source: PlanDataSource) -> Sequence[Tuple[int, ...]]:
+def _run(
+    node: PlanNode, source: PlanDataSource, params: Sequence[int]
+) -> Sequence[Tuple[int, ...]]:
     node_type = type(node)
     if node_type is ScanNode:
-        return source.scan_rows(node)
+        return source.scan_rows(node, params)
     if node_type is HashJoinNode:
-        left_rows = _run(node.left, source)
+        left_rows = _run(node.left, source, params)
         if not left_rows:
             return _EMPTY_ROWS
         right = node.right
-        right_rows = None if type(right) is ScanNode else _run(right, source)
-        return _hash_join(node, left_rows, right_rows, source)
+        right_rows = (
+            None if type(right) is ScanNode else _run(right, source, params)
+        )
+        return _hash_join(node, left_rows, right_rows, source, params)
     if node_type is FilterNode:
         predicate = node.predicate
         table = source.table
         return [
             row
-            for row in _run(node.child, source)
+            for row in _run(node.child, source, params)
             if predicate.evaluate(row, table)
         ]
     if node_type is ProjectNode:
-        return _project(node.columns, _run(node.child, source))
+        return _project(node.columns, _run(node.child, source, params))
     if node_type is UnitNode:
         return ((),)
     if node_type is UnionPlanNode:
         return tuple(dict.fromkeys(chain.from_iterable(
-            _run(child, source) for child in node.children
+            _run(child, source, params) for child in node.children
         )))
     raise PlanError(f"unknown plan node {node_type.__name__}")
 
 
 def record_feedback(
-    plan: CompiledPlan, source: PlanDataSource, result_count: int
+    plan: CompiledPlan,
+    source: PlanDataSource,
+    result_count: int,
+    params: Sequence[int] = (),
 ) -> None:
     """Fold one execution's observations into the plan's feedback loop.
 
     Only free observations are taken: scan cardinalities come off what the
-    data source already built (:meth:`PlanDataSource.scan_size`) and the
-    result count is the length the caller already has. A q-error
-    beyond the re-optimization threshold flips ``feedback.stale`` — the plan
-    cache re-optimizes on its next hit.
+    data source already built (:meth:`PlanDataSource.scan_size`) under the
+    execution's binding *params*, and the result count is the length the
+    caller already has. Observations are kept by scan shape, not by
+    binding, so a plan serving many bindings keeps one entry per scan. A
+    q-error beyond the re-optimization threshold flips ``feedback.stale`` —
+    the plan cache re-optimizes on its next hit.
     """
     from repro.plan.optimizer import optimizer_counters
 
@@ -355,10 +379,10 @@ def record_feedback(
         return
     counters = optimizer_counters()
     for scan in plan.scan_nodes:
-        actual = source.scan_size(scan)
+        actual = source.scan_size(scan, params)
         if actual is None:
             continue
-        feedback.observed[scan.cache_key()] = actual
+        feedback.observed[scan.shape] = actual
         counters.record_q_error(feedback.record(scan.est_rows, actual))
     if plan.root.est_rows is not None:
         counters.record_q_error(
@@ -367,16 +391,25 @@ def record_feedback(
 
 
 def execute_plan(
-    plan: CompiledPlan, source: PlanDataSource
+    plan: CompiledPlan, source: PlanDataSource, params: Sequence[int] = ()
 ) -> FrozenSet[Tuple[int, ...]]:
-    """Run a compiled plan; answers are rows of constant IDs."""
+    """Run a compiled plan under one binding of its parameter slots.
+
+    *params* are the constant IDs of the query being answered
+    (:func:`repro.plan.compiler.plan_params`); answers are rows of
+    constant IDs.
+    """
+    if len(params) != plan.param_count:
+        raise PlanError(
+            f"plan binds {plan.param_count} parameter(s), got {len(params)}"
+        )
     table = source.table
     for predicate in plan.prefilters:
         if not predicate.evaluate((), table):
             return frozenset()  # boxed-ok: ints
-    rows = frozenset(_run(plan.root, source))  # boxed-ok: ints
+    rows = frozenset(_run(plan.root, source, params))  # boxed-ok: ints
     if plan.feedback is not None:
-        record_feedback(plan, source, len(rows))
+        record_feedback(plan, source, len(rows), params)
     return rows
 
 
@@ -401,14 +434,17 @@ def evaluate(query, database) -> FrozenSet[Atom]:
     """``Q(D)`` for a conjunctive query, through the plan pipeline.
 
     Answer-identical to :func:`repro.queries.evaluation.evaluate_naive`
-    (differentially tested), compiled once per alpha-equivalence class,
-    indexes shared per database.
+    (differentially tested), compiled once per query shape and bound to
+    the query's constants, indexes shared per database.
     """
-    from repro.plan.compiler import plan_for
+    from repro.plan.compiler import plan_for, plan_params
 
     core = database.core()
     plan = plan_for(query, facts=core)
-    return decode_answers(plan, execute_plan(plan, data_source_for(core)))
+    rows = execute_plan(
+        plan, data_source_for(core), plan_params(query, plan.table)
+    )
+    return decode_answers(plan, rows)
 
 
 def evaluate_rows(algebra_query, database) -> FrozenSet[Tuple]:
@@ -440,17 +476,29 @@ def _estimate_suffix(node: PlanNode) -> str:
     return f"  (est={format_est(est)} rows)"
 
 
+def explain_text(plan: CompiledPlan, query, annotate=None) -> str:
+    """*plan* rendered for *query*: its header line and its constants."""
+    from repro.plan.compiler import plan_params
+
+    return plan.explain(
+        annotate,
+        plan_params(query, plan.table),
+        str(query) if plan.kind == "cq" else None,
+    )
+
+
 def explain(query, table=None, database=None) -> str:
     """The EXPLAIN rendering of a query's (cached) physical plan.
 
     With a *database*, the plan is compiled cost-based against its
     statistics and each operator line carries the optimizer's cardinality
-    estimate; without one the rendering is the static plan, unchanged.
+    estimate; without one the rendering is the plan as cached (static on
+    first sight). Either way the header and the scans' constants are
+    *query*'s own, whichever query of its shape compiled the plan.
     """
     from repro.plan.compiler import plan_for
 
     facts = database.core() if database is not None else None
     plan = plan_for(query, table=table, facts=facts)
-    if plan.optimizer_info:
-        return plan.explain(annotate=_estimate_suffix)
-    return plan.explain()
+    annotate = _estimate_suffix if plan.optimizer_info else None
+    return explain_text(plan, query, annotate)

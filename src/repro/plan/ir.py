@@ -11,7 +11,10 @@ Operators:
 * :class:`ScanNode` — one relation's extension with **build-side pushdown**:
   constant equalities and same-atom repeated-variable equalities are applied
   while scanning, before any join sees the rows; ``output`` then projects the
-  scan down to the columns later operators need.
+  scan down to the columns later operators need. A constant equality may
+  name a **parameter slot** instead of a constant: the plan is then shared
+  by every query of its shape, and each execution binds the slots to its
+  own query's constant IDs (the ``params`` vector every operator receives).
 * :class:`HashJoinNode` — equi-join; the right side is hash-indexed on its
   key columns (a scan's column index, cached per data source, when the
   right side is a scan).
@@ -22,22 +25,24 @@ Operators:
 
 Every node renders itself for ``EXPLAIN`` (``repro.cli ... --explain``); the
 rendering decodes IDs back to values through the owning symbol table, so the
-output is readable while the runtime representation stays integer-only.
+output is readable while the runtime representation stays integer-only. A
+parameter slot renders as the constant its binding names, or as ``$n``
+when no binding is given.
 """
 
 from __future__ import annotations
 
 from typing import Any, List, Optional, Sequence, Tuple
 
-from repro.exceptions import BuiltinError, ReproError
+from repro.exceptions import ReproError
 
 
 class PlanError(ReproError):
     """A query (or query fragment) the plan compiler cannot handle.
 
-    Raised during compilation only, and never caught into a fallback: an
-    unsupported construct fails loudly instead of silently taking another
-    path.
+    Raised during compilation — or when a plan is executed with a binding
+    of the wrong length — and never caught into a fallback: an unsupported
+    construct fails loudly instead of silently taking another path.
     """
 
 
@@ -153,31 +158,28 @@ class ComparePredicate(Predicate):
 class BuiltinPredicate(Predicate):
     """A builtin body atom applied at the earliest point its columns bind.
 
-    The builtin is looked up in the registry *per evaluation*, not captured
-    at compile time, so re-registering a predicate under the same registry
-    takes effect without invalidating cached plans.
+    The :class:`~repro.queries.builtins.Builtin` is captured at compile
+    time, so a plan is a pure function of its cache key: the key names the
+    builtins' code (or their registry and its version), and re-registering
+    a builtin changes the key of every query over that registry.
     """
 
-    __slots__ = ("registry", "name", "specs")
+    __slots__ = ("builtin", "specs")
 
-    def __init__(self, registry, name: str, specs: Tuple[ArgSpec, ...]):
-        self.registry = registry
-        self.name = name
+    def __init__(self, builtin, specs: Tuple[ArgSpec, ...]):
+        self.builtin = builtin
         self.specs = specs
 
     def evaluate(self, row, table) -> bool:
-        """Look the builtin up (per evaluation) and apply it to the row."""
-        builtin = self.registry.get(self.name)
-        if builtin is None:
-            raise BuiltinError(f"unknown builtin: {self.name}")
-        return builtin.check(
+        """Apply the builtin to the row's decoded arguments."""
+        return self.builtin.check(
             _resolve_spec(spec, row, table) for spec in self.specs
         )
 
     def explain(self, table) -> str:
         """Render as ``name(args...)`` over column/literal specs."""
         inner = ", ".join(_explain_spec(s) for s in self.specs)
-        return f"{self.name}({inner})"
+        return f"{self.builtin.name}({inner})"
 
 
 class ConditionPredicate(Predicate):
@@ -228,33 +230,37 @@ class PlanNode:
         """This node's child operators, in rendering order."""
         return ()
 
-    def explain_line(self, table) -> str:
+    def explain_line(self, table, params=()) -> str:
         """One line of EXPLAIN text for this operator (no indentation)."""
         raise NotImplementedError
 
     def explain_into(
-        self, table, lines: List[str], depth: int, annotate=None
+        self, table, lines: List[str], depth: int, annotate=None, params=()
     ) -> None:
         """Render this subtree into *lines*, one indented line per node.
 
         *annotate*, when given, maps a node to a suffix string — the hook
         EXPLAIN ANALYZE uses to append ``(est=… actual=…)`` per operator.
+        *params* is the binding whose constants the scans render.
         """
-        line = "  " * depth + self.explain_line(table)
+        line = "  " * depth + self.explain_line(table, params)
         if annotate is not None:
             suffix = annotate(self)
             if suffix:
                 line += suffix
         lines.append(line)
         for child in self.children():
-            child.explain_into(table, lines, depth + 1, annotate)
+            child.explain_into(table, lines, depth + 1, annotate, params)
 
 
 class ScanNode(PlanNode):
     """Scan one relation with pushed-down selections and column projection.
 
-    * ``const_eq`` — ``(arg_position, constant_id)`` equalities applied while
-      scanning (constants in the body atom, or σ(col = literal) pushed down);
+    * ``const_eq`` — ``(arg_position, ref)`` equalities applied while
+      scanning. A ref ``>= 0`` is a constant ID fixed in the plan (an
+      algebra tree's σ(col = literal)); a ref ``< 0`` names parameter slot
+      ``~ref``, which each execution binds (a constant of a conjunctive
+      query's body atom). :meth:`bind` resolves the refs under one binding;
     * ``dup_eq`` — ``(first_position, later_position)`` equalities from
       repeated variables within one atom (or same-scan σ(col = col));
     * ``output`` — argument positions the scan emits, in order.
@@ -262,11 +268,16 @@ class ScanNode(PlanNode):
     Facts whose arity differs from ``arity`` are skipped, mirroring the
     boxed :class:`~repro.algebra.ast.RelationScan`. A ``plain`` scan has no
     pushdowns and emits every argument in order, so its rows are the
-    relation's argument tuples themselves.
+    relation's argument tuples themselves. ``positions`` are the
+    ``const_eq`` positions, whose column index a scan with constants reads.
+    ``shape`` identifies the scan within its plan whatever the binding (the
+    feedback loop's key); :meth:`cache_key` identifies its rows under one
+    binding.
     """
 
     __slots__ = (
         "relation", "rid", "arity", "const_eq", "dup_eq", "output", "plain",
+        "positions", "shape", "_parametric",
     )
 
     def __init__(
@@ -287,18 +298,38 @@ class ScanNode(PlanNode):
         self.plain = (
             not const_eq and not dup_eq and output == tuple(range(arity))
         )
+        self.positions = tuple(pos for pos, _ref in const_eq)
+        self.shape = (rid, arity, const_eq, dup_eq, output)
+        self._parametric = any(ref < 0 for _pos, ref in const_eq)
         self.width = len(output)
         self.est_rows = None
 
-    def cache_key(self) -> Tuple:
-        """Identity of this scan's row set within one data source."""
-        return (self.rid, self.arity, self.const_eq, self.dup_eq, self.output)
+    def bind(self, params: Sequence[int]) -> Tuple[Tuple[int, int], ...]:
+        """``const_eq`` with every parameter slot replaced by its constant
+        ID in *params*."""
+        if not self._parametric:
+            return self.const_eq
+        return tuple([
+            (pos, ref if ref >= 0 else params[~ref])
+            for pos, ref in self.const_eq
+        ])
 
-    def explain_line(self, table) -> str:
+    def cache_key(self, params: Sequence[int] = ()) -> Tuple:
+        """Identity of this scan's row set within one data source, under
+        the binding *params*."""
+        if not self._parametric:
+            return self.shape
+        return (self.rid, self.arity, self.bind(params), self.dup_eq, self.output)
+
+    def explain_line(self, table, params=()) -> str:
         """One line: relation/arity, pushdowns, and emitted columns."""
         parts = [f"scan {self.relation}/{self.arity}"]
-        for pos, cid in self.const_eq:
-            parts.append(f"[arg{pos} = {_decode(table, cid)!r}]")
+        for pos, ref in self.const_eq:
+            if ref < 0 and ~ref >= len(params):
+                value = f"${~ref}"
+            else:
+                value = repr(_decode(table, ref if ref >= 0 else params[~ref]))
+            parts.append(f"[arg{pos} = {value}]")
         for first, later in self.dup_eq:
             parts.append(f"[arg{first} = arg{later}]")
         cols = ", ".join(f"arg{p}" for p in self.output)
@@ -340,7 +371,7 @@ class HashJoinNode(PlanNode):
         """The build (right) and probe (left) inputs."""
         return (self.left, self.right)
 
-    def explain_line(self, table) -> str:
+    def explain_line(self, table, params=()) -> str:
         """One line: join keys, or cross-product."""
         if self.left_keys:
             keys = ", ".join(
@@ -366,7 +397,7 @@ class FilterNode(PlanNode):
         """The single filtered input."""
         return (self.child,)
 
-    def explain_line(self, table) -> str:
+    def explain_line(self, table, params=()) -> str:
         """One line: the residual predicate, decoded."""
         return f"filter {self.predicate.explain(table)}"
 
@@ -386,7 +417,7 @@ class ProjectNode(PlanNode):
         """The single projected input."""
         return (self.child,)
 
-    def explain_line(self, table) -> str:
+    def explain_line(self, table, params=()) -> str:
         """One line: emitted columns and literal constants."""
         cols = ", ".join(
             f"col{c}" if isinstance(c, int) else repr(_decode(table, c.cid))
@@ -404,7 +435,7 @@ class UnitNode(PlanNode):
         self.width = 0
         self.est_rows = None
 
-    def explain_line(self, table) -> str:
+    def explain_line(self, table, params=()) -> str:
         """One line: the nullary seed row."""
         return "unit (one empty row)"
 
@@ -426,7 +457,7 @@ class UnionPlanNode(PlanNode):
         self.width = self.children[0].width
         self.est_rows = None
 
-    def explain_into(self, table, lines, depth, annotate=None) -> None:
+    def explain_into(self, table, lines, depth, annotate=None, params=()) -> None:
         """Render ``union`` and recurse into every branch."""
         line = "  " * depth + f"union ({len(self.children)} branches)"
         if annotate is not None:
@@ -435,7 +466,7 @@ class UnionPlanNode(PlanNode):
                 line += suffix
         lines.append(line)
         for child in self.children:
-            child.explain_into(table, lines, depth + 1, annotate)
+            child.explain_into(table, lines, depth + 1, annotate, params)
 
 
 class CompiledPlan:
@@ -447,6 +478,10 @@ class CompiledPlan:
       against the empty row (kept out of compile time so a cached plan stays
       a pure function of the query, not of any one evaluation);
     * ``key`` — the alpha-equivalence cache key the plan was stored under;
+    * ``source_text`` — the query the plan was compiled from (EXPLAIN of
+      another query of the same shape passes its own text);
+    * ``param_count`` — how many parameter slots an execution binds (the
+      constants of a conjunctive query's relational body atoms);
     * ``optimizer_info`` — ``None`` for statically ordered plans, else a
       short description of how the optimizer ordered the joins (printed in
       the EXPLAIN header);
@@ -458,7 +493,8 @@ class CompiledPlan:
 
     __slots__ = (
         "kind", "root", "prefilters", "head_relation", "table", "key",
-        "source_text", "optimizer_info", "scan_nodes", "feedback",
+        "source_text", "param_count", "optimizer_info", "scan_nodes",
+        "feedback",
     )
 
     def __init__(
@@ -470,6 +506,7 @@ class CompiledPlan:
         table,
         key: Tuple,
         source_text: str,
+        param_count: int = 0,
         optimizer_info: Optional[str] = None,
         scan_nodes: Tuple[ScanNode, ...] = (),
         feedback=None,
@@ -481,6 +518,7 @@ class CompiledPlan:
         self.table = table
         self.key = key
         self.source_text = source_text
+        self.param_count = param_count
         self.optimizer_info = optimizer_info
         self.scan_nodes = scan_nodes
         self.feedback = feedback
@@ -490,18 +528,22 @@ class CompiledPlan:
         """Number of columns the plan's answers carry."""
         return self.root.width
 
-    def explain(self, annotate=None) -> str:
+    def explain(self, annotate=None, params=(), source_text=None) -> str:
         """A human-readable rendering of the physical plan.
 
         *annotate* maps a plan node to a per-line suffix (EXPLAIN ANALYZE
         appends ``(est=… actual=…)`` through it); plain EXPLAIN passes none.
+        *params* and *source_text* name the query being explained: its
+        parameter binding and its text for the header (by default the
+        compiled query's text, with parameter slots unbound).
         """
-        lines = [f"plan [{self.kind}] for: {self.source_text}"]
+        text = self.source_text if source_text is None else source_text
+        lines = [f"plan [{self.kind}] for: {text}"]
         if self.optimizer_info:
             lines.append(f"optimizer: {self.optimizer_info}")
         for predicate in self.prefilters:
             lines.append(f"prefilter {predicate.explain(self.table)}")
-        self.root.explain_into(self.table, lines, 0, annotate)
+        self.root.explain_into(self.table, lines, 0, annotate, params)
         return "\n".join(lines)
 
     def __repr__(self) -> str:

@@ -6,9 +6,12 @@ syntactic most-bound-first heuristic that cannot see that ``Big`` holds
 statistics catalog (:mod:`repro.plan.statistics`) instead:
 
 * **scan estimates** — relation cardinality × the selectivity of the scan's
-  pushed-down equalities. Constant equalities answer from the exact
-  per-column value counts (an MCV hit is priced at its true frequency, a
-  missing value at zero); repeated-variable equalities use
+  pushed-down equalities. A constant of a conjunctive body is a parameter
+  slot, which the plan serves for every value, so it is priced at its
+  column's mean frequency, ``1 / distinct`` — cardinality / distinct rows —
+  and a plan is a function of its query's shape and the statistics, not of
+  the constants of whichever query compiled it; skewed values show up as
+  q-errors in the runtime feedback below. Repeated-variable equalities use
   ``1 / max(distinct)``.
 * **join estimates** — the textbook ``|L|·|R| / ∏ max(d_L(v), d_R(v))``
   over the shared variables, with per-variable distinct counts carried
@@ -17,7 +20,7 @@ statistics catalog (:mod:`repro.plan.statistics`) instead:
   (Selinger-style, cost = total intermediate rows) for bodies of at most
   :data:`DP_THRESHOLD` relational atoms, greedy cheapest-next-join above
   it. Both tie-break deterministically, so a plan is a pure function of
-  (query, statistics).
+  (query shape, statistics).
 * **runtime feedback** — every optimized plan carries a
   :class:`PlanFeedback`; executions record actual vs estimated
   cardinalities, and a q-error beyond :data:`REOPT_RATIO` marks the plan
@@ -163,9 +166,11 @@ def q_error(estimated: Optional[float], actual: int) -> float:
 class PlanFeedback:
     """Actual-vs-estimated cardinalities observed while running one plan.
 
-    ``observed`` maps a scan's ``cache_key()`` to the actual row count its
-    pushed-down scan produced — exactly the overrides the re-optimization
-    pass feeds back into the cost model. ``stale`` flips when any recorded
+    ``observed`` maps a scan's ``shape`` to the actual row count its
+    pushed-down scan produced under the latest binding — exactly the
+    overrides the re-optimization pass feeds back into the cost model. It
+    is keyed by shape, not by binding, so it holds one entry per scan
+    however many queries the plan serves. ``stale`` flips when any recorded
     operator mis-estimates beyond :data:`REOPT_RATIO`; the plan cache acts
     on it at the next hit.
     """
@@ -210,21 +215,23 @@ def estimate_scan(
 
     An override (observed actual from a previous execution of the same scan
     shape) wins outright; otherwise cardinality × pushdown selectivity from
-    the exact per-column counts.
+    the exact per-column distinct counts: a constant equality (a parameter
+    slot — only conjunctive bodies are optimized) at its column's mean
+    frequency, ``1 / distinct``.
     """
     if overrides:
-        observed = overrides.get(scan.cache_key())
+        observed = overrides.get(scan.shape)
         if observed is not None:
             return float(observed)
     relation = stats.relation(scan.rid)
     if relation is None:
         return 0.0
     est = float(relation.cardinality)
-    for position, cid in scan.const_eq:
+    for position, _slot in scan.const_eq:
         column = relation.column(position)
-        if column is None:
+        if column is None or not column.distinct:
             return 0.0
-        est *= column.frequency(cid, relation.cardinality)
+        est /= float(column.distinct)
     for first, later in scan.dup_eq:
         distincts = [
             c.distinct
@@ -295,7 +302,7 @@ class JoinOrder:
 def _tie_key(item) -> Tuple:
     """Deterministic tie-break: relation name, scan shape, body position."""
     scan, _out_vars, _atom, index = item
-    return (scan.relation, scan.cache_key(), index)
+    return (scan.relation, scan.shape, index)
 
 
 def choose_join_order(

@@ -1,11 +1,11 @@
 """The statistics catalog: per-relation cardinality, distinct and MCV sketches.
 
-The cost model (:mod:`repro.plan.optimizer`) needs three numbers per scan to
-price a join order: how many rows a relation holds, how many distinct values
-each argument position takes, and which values dominate a skewed column.
-:class:`TableStatistics` computes all three from one pass over an
-:class:`~repro.core.factset.IFactSet`'s grouped view and keeps the full
-per-column value-count maps, which buys two things:
+The cost model (:mod:`repro.plan.optimizer`) needs two numbers per scan to
+price a join order: how many rows a relation holds and how many distinct
+values each argument position takes (a constant is a parameter slot, priced
+at its column's mean frequency). :class:`TableStatistics` computes both from
+one pass over an :class:`~repro.core.factset.IFactSet`'s grouped view and
+keeps the full per-column value-count maps, which buys two things:
 
 * **exact distinct counts** (no HyperLogLog approximation needed at these
   scales), and
@@ -57,17 +57,6 @@ class ColumnStats:
         """The ``(constant_id, count)`` heavy hitters, deterministic order."""
         ranked = sorted(self.counts.items(), key=lambda kv: (-kv[1], kv[0]))
         return ranked[:width]
-
-    def frequency(self, cid: int, total: int) -> float:
-        """Estimated fraction of rows whose value is *cid*.
-
-        Known values answer exactly from the count map; unknown values are
-        assumed absent (the map is exact, not a sketch, so absence is
-        certain as long as the statistics are fresh).
-        """
-        if total <= 0:
-            return 0.0
-        return self.counts.get(cid, 0) / total
 
     def explain_mcv(self, table, width: int = 3) -> str:
         """Decoded heavy hitters for EXPLAIN output, e.g. ``'a'×40, 'b'×2``."""

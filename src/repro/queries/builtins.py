@@ -56,16 +56,21 @@ class BuiltinRegistry:
     True
     """
 
-    __slots__ = ("_builtins",)
+    __slots__ = ("_builtins", "version")
 
     def __init__(self, builtins: Iterable[Builtin] = ()):
         self._builtins: Dict[str, Builtin] = {}
+        #: Bumped by every :meth:`register`: a query's cached plan key
+        #: (:mod:`repro.plan.compiler`) is rendered under one version and
+        #: re-rendered when the registry has changed since.
+        self.version = 0
         for b in builtins:
             self.register(b)
 
     def register(self, builtin: Builtin) -> None:
         """Add or replace a builtin."""
         self._builtins[builtin.name] = builtin
+        self.version += 1
 
     def is_builtin(self, name: str) -> bool:
         return name in self._builtins

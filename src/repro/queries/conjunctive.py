@@ -34,7 +34,7 @@ class ConjunctiveQuery:
     'V(x) <- R(x)'
     """
 
-    __slots__ = ("head", "body", "builtins", "_hash")
+    __slots__ = ("head", "body", "builtins", "_hash", "_plan_shape")
 
     def __init__(
         self,
@@ -47,6 +47,9 @@ class ConjunctiveQuery:
         self.builtins = builtins
         self._check_safety()
         self._hash = hash((self.head, self.body))
+        # The plan cache's key and parameter values, rendered on the first
+        # plan lookup (repro.plan.compiler); never pickled.
+        self._plan_shape = None
 
     def _check_safety(self) -> None:
         bound = set()
@@ -158,7 +161,8 @@ class ConjunctiveQuery:
         return self._hash
 
     def __reduce__(self):
-        # Rebuilt from its parts, so the hash is the loading process's.
+        # Rebuilt from its parts, so the hash and the plan key are the
+        # loading process's.
         return (ConjunctiveQuery, (self.head, self.body, self.builtins))
 
     def __str__(self) -> str:

@@ -40,9 +40,14 @@ def order_body(atoms: Sequence[Atom]) -> List[Atom]:
     Shared by :func:`valuations` and the plan compiler's static order, so
     both join in the same order.
     """
+    return [atoms[i] for i in order_positions(atoms)]
+
+
+def order_positions(atoms: Sequence[Atom]) -> List[int]:
+    """:func:`order_body`'s order as positions into *atoms*."""
     items = list(enumerate(atoms))
     bound: Set[Variable] = set()
-    ordered: List[Atom] = []
+    ordered: List[int] = []
 
     def key(item: Tuple[int, Atom]):
         index, atom = item
@@ -58,7 +63,7 @@ def order_body(atoms: Sequence[Atom]) -> List[Atom]:
     while items:
         best = min(items, key=key)
         items.remove(best)
-        ordered.append(best[1])
+        ordered.append(best[0])
         bound |= best[1].variables()
     return ordered
 

@@ -57,13 +57,16 @@ def evaluate_fragment(query, facts) -> FrozenSet[Atom]:
     The in-process mirror of :func:`repro.plan.evaluate` minus the boxed
     database wrapper: fragments are already interned fact sets.
     """
-    from repro.plan.compiler import plan_for
+    from repro.plan.compiler import plan_for, plan_params
     from repro.plan.executor import (
         data_source_for, decode_answers, execute_plan,
     )
 
     plan = plan_for(query, facts=facts)
-    return decode_answers(plan, execute_plan(plan, data_source_for(facts)))
+    rows = execute_plan(
+        plan, data_source_for(facts), plan_params(query, plan.table)
+    )
+    return decode_answers(plan, rows)
 
 
 # -- the executor --------------------------------------------------------------

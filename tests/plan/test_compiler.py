@@ -12,9 +12,16 @@ from repro.algebra.ast import (
 )
 from repro.algebra.conditions import And, Col, Comparison, Not, Or
 from repro.confidence.engine.memo import LRUMemo
-from repro.core.symbols import SymbolTable
+from repro.core.symbols import SymbolTable, global_table
 from repro.model.terms import Constant
-from repro.plan import PlanError, compile_query, plan_for, plan_key
+from repro.plan import (
+    PlanError,
+    compile_query,
+    plan_for,
+    plan_key,
+    plan_params,
+    shared_plan_cache,
+)
 from repro.plan.ir import (
     FilterNode,
     HashJoinNode,
@@ -38,9 +45,30 @@ class TestCanonicalKeys:
         assert plan_key(q1, table) == plan_key(q2, table)
 
     def test_different_constants_differ(self, table):
-        q1 = parse_rule("ans(y) <- E(1, y)")
-        q2 = parse_rule("ans(y) <- E(2, y)")
+        # Head and builtin constants are compiled into the plan, so they
+        # stay in the key as values.
+        q1 = parse_rule("ans(y, 1) <- E(x, y)")
+        q2 = parse_rule("ans(y, 2) <- E(x, y)")
         assert plan_key(q1, table) != plan_key(q2, table)
+        q3 = parse_rule("ans(y) <- E(x, y), Lt(y, 1)")
+        q4 = parse_rule("ans(y) <- E(x, y), Lt(y, 2)")
+        assert plan_key(q3, table) != plan_key(q4, table)
+
+    def test_body_constants_become_parameters(self, table):
+        q1 = parse_rule("ans(y) <- E(1, y)")
+        q2 = parse_rule("ans(y) <- E('a', y)")
+        assert plan_key(q1, table) == plan_key(q2, table)
+        assert plan_params(q1, table) == (table.constant(1),)
+        assert plan_params(q2, table) == (table.constant("a"),)
+        # A constant is not a variable: E(1, y) and E(x, y) differ.
+        assert plan_key(q1, table) != plan_key(
+            parse_rule("ans(y) <- E(x, y)"), table
+        )
+
+    def test_key_names_no_symbol_ids(self, table):
+        query = parse_rule("ans(y) <- E(1, y)")
+        assert plan_key(query, table) == plan_key(query, SymbolTable())
+        assert table.counts().constants == 0
 
     def test_body_order_is_part_of_the_written_form(self, table):
         # Canonicalization quotients *renaming*, not body permutation; the
@@ -97,7 +125,13 @@ class TestCompiledShapes:
         plan = compile_query(parse_rule("ans(y) <- E(1, y)"), table)
         scan = plan.root.child
         assert type(scan) is ScanNode
-        assert scan.const_eq == ((0, table.constant(1)),)
+        # Position 0 reads parameter slot 0, which each call binds.
+        assert scan.const_eq == ((0, ~0),)
+        assert plan.param_count == 1
+        bound = (table.constant(1),)
+        assert scan.bind(bound) == ((0, table.constant(1)),)
+        assert "[arg0 = 1]" in plan.explain(params=bound)
+        assert "[arg0 = $0]" in plan.explain()
 
     def test_repeated_variable_pushes_dup_eq(self, table):
         plan = compile_query(parse_rule("ans(x) <- E(x, x)"), table)
@@ -177,3 +211,29 @@ class TestPlanCache:
         plan_for(parse_rule("ans(x) <- E(x, y)"), cache=cache, table=table)
         plan_for(parse_rule("ans(y) <- E(x, y)"), cache=cache, table=table)
         assert cache.stats().misses == 2
+
+    def test_constant_variants_hit_one_entry(self, table):
+        cache = LRUMemo(maxsize=8)
+        p1 = plan_for(parse_rule("ans(v) <- E('k1', v)"), cache=cache, table=table)
+        p2 = plan_for(parse_rule("ans(v) <- E('k2', v)"), cache=cache, table=table)
+        assert p1 is p2
+        assert len(cache) == 1 and cache.stats().hits == 1
+
+    def test_a_hit_comes_from_the_callers_table(self):
+        # The shared cache serves plans to every symbol table; an entry
+        # compiled against another table is recompiled, never served.
+        shared_plan_cache().clear()
+        shared = plan_for(parse_rule("ans(x) <- R(x)"))
+        ids = global_table()
+        private = SymbolTable()
+        # Give the private table the global IDs of ans and R, with S at R's.
+        wanted = {ids.relation("ans"): "ans", ids.relation("R"): "S"}
+        for rid in range(max(wanted) + 1):
+            private.relation(wanted.get(rid, f"pad{rid}"))
+        plan = plan_for(parse_rule("ans(x) <- S(x)"), table=private)
+        assert plan is not shared
+        assert plan.table is private
+        assert plan.scan_nodes[0].relation == "S"
+        again = plan_for(parse_rule("ans(x) <- R(x)"), table=private)
+        assert again is not shared and again.table is private
+        assert again.scan_nodes[0].rid == private.relation("R")

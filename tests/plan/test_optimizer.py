@@ -10,7 +10,9 @@ from repro.plan import (
     explain,
     explain_analyze,
     plan_for,
+    plan_params,
     reset_optimizer_stats,
+    shared_plan_cache,
     statistics_for,
 )
 from repro.plan.analyze import analyze_plan
@@ -155,6 +157,44 @@ class TestJoinOrder:
         assert "optimizer: dp join order" in text
         assert "est=" in text
         assert "scan Small" in text
+
+    def test_static_explain_does_not_pin_a_static_plan(self):
+        # `answer --explain` renders the static plan before any database
+        # exists; a later lookup with facts must still get the cost-based
+        # plan, not the static one the EXPLAIN cached.
+        shared_plan_cache().clear()
+        database = skewed_database(big=2000, small=2)
+        query = parse_rule("ans(x, z) <- Big(y, z), Small(x, y)")
+        assert "optimizer:" not in explain(query)
+        plan = plan_for(query, facts=database.core())
+        assert plan.optimizer_info.startswith("dp join order over 2 atoms")
+        assert plan.scan_nodes[0].relation == "Small"
+        text = explain_analyze(query, database)
+        scans = [line.split()[1] for line in text.splitlines()
+                 if line.lstrip().startswith("scan ")]
+        assert scans[0] == "Small/2"
+        assert "est=" in text
+
+    def test_parameters_are_priced_at_mean_frequency(self):
+        # 'k0' holds 190 of Hot's 200 rows, yet a parameter slot is priced
+        # at cardinality / distinct, whichever constant compiled the plan.
+        database = GlobalDatabase(
+            [fact("Hot", "k0", f"z{i}") for i in range(190)]
+            + [fact("Hot", f"k{i}", f"z{i}") for i in range(1, 11)]
+            + [fact("Cold", f"z{i}") for i in range(40)]
+        )
+        core = database.core()
+        table = global_table()
+        for key in ("k0", "k5"):
+            query = parse_rule(f"ans(z) <- Hot('{key}', z), Cold(z)")
+            plan = compile_query(query, table, stats=statistics_for(core))
+            hot = next(s for s in plan.scan_nodes if s.relation == "Hot")
+            assert hot.est_rows == 200 / 11
+            expected = {(a.args[0].value,) for a in evaluate_backtracking(query, database)}
+            rows = execute_plan(
+                plan, data_source_for(core), plan_params(query, table)
+            )
+            assert {(table.constant_value(r[0]),) for r in rows} == expected
 
 
 class TestReoptimization:

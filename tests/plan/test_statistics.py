@@ -4,7 +4,6 @@ import weakref
 
 from repro.model import GlobalDatabase, fact
 from repro.plan.statistics import (
-    ColumnStats,
     RelationStats,
     TableStatistics,
     cached_statistics,
@@ -56,16 +55,14 @@ class TestProfile:
 
     def test_all_duplicate_column(self):
         # Every row carries the same value in position 0: one distinct
-        # value whose frequency is exactly 1.
+        # value that every row holds.
         core = core_of(*(fact("R", "same", i) for i in range(10)))
         stats = TableStatistics.profile(core)
         (relation,) = stats.relations.values()
         column = relation.column(0)
         assert column.distinct == 1
-        ((cid, count),) = column.most_common()
-        assert count == 10
-        assert column.frequency(cid, relation.cardinality) == 1.0
-        assert column.frequency(cid + 10**6, relation.cardinality) == 0.0
+        ((_cid, count),) = column.most_common()
+        assert count == relation.cardinality == 10
 
     def test_mcv_sketch_ranks_heavy_hitters_first(self):
         core = core_of(
@@ -78,9 +75,6 @@ class TestProfile:
         assert top[0][1] == 8
         rendered = relation.column(0).explain_mcv(core_of().table)
         assert "'hot'×8" in rendered
-
-    def test_frequency_of_empty_relation_is_zero(self):
-        assert ColumnStats().frequency(0, 0) == 0.0
 
 
 class TestIncremental:

@@ -6,17 +6,26 @@ instead of materializing the scan. Random conjunctive queries exercise both
 paths: constants in one or two argument positions, repeated variables,
 heads that drop columns, and atoms that share no variable (cross
 products). On random small databases every query must give exactly
-``evaluate_naive``'s answers, cold and warm, on the single store and
-through a :class:`~repro.shard.ShardExecutor` under a random partition
-spec, with the optimizer on and off.
+``evaluate_naive``'s answers, cold and warm: with the optimizer on, on
+the single store and through a :class:`~repro.shard.ShardExecutor` under a
+random partition spec; with it off, as the shape's static plan run over
+the single store.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.confidence.engine.memo import LRUMemo
 from repro.model import GlobalDatabase, fact
-from repro.plan import plan_for, shared_plan_cache
+from repro.plan import (
+    data_source_for,
+    execute_plan,
+    plan_for,
+    plan_params,
+    shared_plan_cache,
+)
 from repro.plan import evaluate as plan_evaluate
+from repro.plan.executor import decode_answers
 from repro.queries import evaluate_naive, parse_rule
 from repro.shard import PartitionSpec, ShardedDatabase, ShardExecutor
 
@@ -78,20 +87,30 @@ def partition_specs():
     )
 
 
+def static_answers(query, database):
+    """*query* through its shape's static plan (compiled without facts)."""
+    plan = plan_for(query, cache=LRUMemo(maxsize=1))
+    core = database.core()
+    rows = execute_plan(
+        plan, data_source_for(core), plan_params(query, plan.table)
+    )
+    return decode_answers(plan, rows)
+
+
 @given(databases(), queries(), partition_specs())
 @settings(max_examples=200, deadline=None)
 def test_index_probes_match_naive(db, rule, spec):
     query = parse_rule(rule)
     expected = evaluate_naive(query, db)
-    for optimized in (True, False):
-        # Each mode starts cold: no cached plan, and a fresh fact set with
-        # no index built.
-        shared_plan_cache().clear()
-        fresh = GlobalDatabase(db.facts())
-        if not optimized:
-            plan_for(query)  # a static plan, which later lookups hit
-        for _round in ("cold", "warm"):
-            assert plan_evaluate(query, fresh) == expected, rule
-        executor = ShardExecutor(ShardedDatabase(fresh, spec))
-        for _round in ("cold", "warm"):
-            assert executor.answer(query) == expected, rule
+    # Each mode starts cold: no cached plan, and a fresh fact set with no
+    # index built.
+    shared_plan_cache().clear()
+    fresh = GlobalDatabase(db.facts())
+    for _round in ("cold", "warm"):
+        assert plan_evaluate(query, fresh) == expected, rule
+    executor = ShardExecutor(ShardedDatabase(fresh, spec))
+    for _round in ("cold", "warm"):
+        assert executor.answer(query) == expected, rule
+    fresh = GlobalDatabase(db.facts())
+    for _round in ("cold", "warm"):
+        assert static_answers(query, fresh) == expected, rule

@@ -14,6 +14,7 @@ from repro.plan import (
     compile_query,
     data_source_for,
     execute_plan,
+    plan_params,
     statistics_for,
 )
 from repro.plan.analyze import analyze_plan
@@ -38,11 +39,11 @@ def to_tuples(atoms):
     return {tuple(c.value for c in a.args) for a in atoms}
 
 
-def plan_tuples(plan, source, table):
+def plan_tuples(plan, query, source, table):
     constant_value = table.constant_value
     return {
         tuple(constant_value(c) for c in row)
-        for row in execute_plan(plan, source)
+        for row in execute_plan(plan, source, plan_params(query, table))
     }
 
 
@@ -61,8 +62,8 @@ def test_optimized_matches_backtracking_and_naive(db, rule):
     source = data_source_for(core)
     static = compile_query(query, table)
     optimized = compile_query(query, table, stats=statistics_for(core))
-    assert plan_tuples(static, source, table) == expected
-    assert plan_tuples(optimized, source, table) == expected
+    assert plan_tuples(static, query, source, table) == expected
+    assert plan_tuples(optimized, query, source, table) == expected
 
 
 @given(
