@@ -37,7 +37,7 @@ from repro.core.symbols import (
     global_table,
 )
 from repro.core.iatoms import IAtom
-from repro.core.factset import Derivation, IFactSet
+from repro.core.factset import IFactSet
 from repro.core.adapters import (
     atom_of_fact,
     fact_of_atom,
@@ -60,7 +60,6 @@ __all__ = [
     "SymbolSnapshot",
     "SymbolTable",
     "global_table",
-    "Derivation",
     "IAtom",
     "IFactSet",
     "atom_of_fact",

@@ -8,6 +8,13 @@ a frozenset (O(1) membership, C-speed union/intersection/difference). The
 per-relation index is built lazily from the owning
 :class:`~repro.core.symbols.SymbolTable` on first relational access.
 
+A set derived from another (:meth:`~IFactSet.with_ids`,
+:meth:`~IFactSet.without_ids` and the set algebra, one path for all of them)
+costs its delta: the parent's IDs are copied once at C speed, only the
+removed and added IDs are looked at, and when the parent has built its
+per-relation index or grouped view, the child starts from a copy in which
+only the relations the delta touches are rebuilt.
+
 State derived from a set (the plan layer's column indexes and statistics)
 is kept on the set itself (:meth:`IFactSet.derived`) and leaves the heap
 with it, so nothing has to retire a superseded version's artifacts.
@@ -15,47 +22,18 @@ with it, so nothing has to retire a superseded version's artifacts.
 
 from __future__ import annotations
 
-import weakref
 from array import array
+from itertools import filterfalse
 from typing import (
-    Callable, Dict, FrozenSet, Iterable, Iterator, Optional, Tuple, TypeVar,
+    Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple,
+    TypeVar,
 )
 
 from repro.core.symbols import SymbolTable
 
 T = TypeVar("T")
 
-
-class Derivation:
-    """How one fact set was derived from another: ``parent ± delta``.
-
-    The statistics catalog (:mod:`repro.plan.statistics`) uses this hint to
-    maintain per-relation statistics *incrementally*: when the parent is
-    alive with its statistics built and the delta is small relative to the
-    derived set, the catalog applies per-fact count updates instead of
-    rescanning the whole extension. The parent is held through a weak
-    reference so the hint never extends any fact set's lifetime.
-    """
-
-    __slots__ = ("_parent", "added", "removed")
-
-    def __init__(
-        self,
-        parent: "IFactSet",
-        added: FrozenSet[int],
-        removed: FrozenSet[int],
-    ):
-        self._parent = weakref.ref(parent)
-        self.added = added
-        self.removed = removed
-
-    def parent(self) -> Optional["IFactSet"]:
-        """The base fact set, or ``None`` once it has been collected."""
-        return self._parent()
-
-    def delta_size(self) -> int:
-        """Total number of fact IDs the derivation touched."""
-        return len(self.added) + len(self.removed)
+_NO_IDS: FrozenSet[int] = frozenset()  # boxed-ok: ints
 
 
 class IFactSet:
@@ -63,15 +41,10 @@ class IFactSet:
 
     __slots__ = (
         "table", "_ids", "_sorted", "_by_relation", "_grouped", "_hash",
-        "_derivation", "_derived", "__weakref__",
+        "_derived", "__weakref__",
     )
 
-    def __init__(
-        self,
-        table: SymbolTable,
-        ids: Iterable[int] = (),
-        derivation: Optional[Derivation] = None,
-    ):
+    def __init__(self, table: SymbolTable, ids: Iterable[int] = ()):
         self.table = table
         self._ids: FrozenSet[int] = (
             ids if isinstance(ids, frozenset) else frozenset(ids)  # boxed-ok: ints
@@ -80,7 +53,6 @@ class IFactSet:
         self._by_relation: Optional[Dict[int, FrozenSet[int]]] = None
         self._grouped: Optional[Dict[int, Tuple[Tuple[int, ...], ...]]] = None
         self._hash = hash(self._ids)
-        self._derivation = derivation
         self._derived: Dict[Callable, object] = {}
 
     # -- set interface ---------------------------------------------------------
@@ -119,42 +91,77 @@ class IFactSet:
     # -- algebra ---------------------------------------------------------------
 
     def union(self, other: "IFactSet") -> "IFactSet":
-        """The set union, hinted as ``self + (other - self)``."""
-        merged = self._ids | other._ids
-        hint = Derivation(self, merged - self._ids, frozenset())  # boxed-ok: ints
-        return IFactSet(self.table, merged, derivation=hint)
+        """The set union."""
+        return self._derive(_NO_IDS, other._ids)
 
     def intersection(self, other: "IFactSet") -> "IFactSet":
-        """The set intersection, hinted as ``self - (self - other)``."""
-        kept = self._ids & other._ids
-        hint = Derivation(self, frozenset(), self._ids - kept)  # boxed-ok: ints
-        return IFactSet(self.table, kept, derivation=hint)
+        """The set intersection."""
+        return self._derive(self._ids - other._ids, _NO_IDS)
 
     def difference(self, other: "IFactSet") -> "IFactSet":
-        """The set difference, hinted as a removal from ``self``."""
-        kept = self._ids - other._ids
-        hint = Derivation(self, frozenset(), self._ids - kept)  # boxed-ok: ints
-        return IFactSet(self.table, kept, derivation=hint)
+        """The set difference."""
+        return self._derive(other._ids, _NO_IDS)
 
     __or__ = union
     __and__ = intersection
     __sub__ = difference
 
     def with_ids(self, extra: Iterable[int]) -> "IFactSet":
-        """This set plus *extra* fact IDs (derivation-hinted)."""
-        merged = self._ids | set(extra)
-        hint = Derivation(self, merged - self._ids, frozenset())  # boxed-ok: ints
-        return IFactSet(self.table, merged, derivation=hint)
+        """This set plus *extra* fact IDs."""
+        return self._derive(_NO_IDS, extra)
 
     def without_ids(self, removed: Iterable[int]) -> "IFactSet":
-        """This set minus *removed* fact IDs (derivation-hinted)."""
-        kept = self._ids - set(removed)
-        hint = Derivation(self, frozenset(), self._ids - kept)  # boxed-ok: ints
-        return IFactSet(self.table, kept, derivation=hint)
+        """This set minus *removed* fact IDs."""
+        return self._derive(removed, _NO_IDS)
 
-    def derivation(self) -> Optional[Derivation]:
-        """The derivation hint this set was built with, if any."""
-        return self._derivation
+    def _derive(self, removed: Iterable[int], added: Iterable[int]) -> "IFactSet":
+        """``(self - removed) | added``, at the cost of the delta.
+
+        Looks only at the IDs actually removed and actually added (the ID
+        set itself is copied once), and returns this set itself when there
+        are none. The child starts with a copy
+        of whichever relational views this set has built (``by_relation()``
+        and ``grouped()``) in which only the touched relations are rebuilt:
+        the parent's entries minus the removed facts, plus the added ones.
+        """
+        ids = self._ids
+        gone = ids.intersection(removed)
+        new = frozenset(added).difference(ids)  # boxed-ok: ints
+        if not gone and not new:
+            return self
+        kept = ids.difference(gone) if gone else ids
+        child = IFactSet(self.table, kept.union(new) if new else kept)
+        if self._by_relation is None and self._grouped is None:
+            return child
+        fact_tuple = self.table.fact_tuple
+        touched: Dict[int, Tuple[List[int], List[int]]] = {}
+        for side, fids in enumerate((gone, new)):
+            for fid in fids:
+                rid = fact_tuple(fid)[0]
+                touched.setdefault(rid, ([], []))[side].append(fid)
+        if self._by_relation is not None:
+            index = dict(self._by_relation)
+            for rid, (out, into) in touched.items():
+                rest = index.get(rid, _NO_IDS).difference(out).union(into)
+                if rest:
+                    index[rid] = rest
+                else:
+                    del index[rid]
+            child._by_relation = index
+        if self._grouped is not None:
+            grouped = dict(self._grouped)
+            for rid, (out, into) in touched.items():
+                rows = grouped.get(rid, ())
+                if out:
+                    dropped = {fact_tuple(fid)[1:] for fid in out}
+                    rows = tuple(filterfalse(dropped.__contains__, rows))
+                rows += tuple(fact_tuple(fid)[1:] for fid in into)
+                if rows:
+                    grouped[rid] = rows
+                else:
+                    del grouped[rid]
+            child._grouped = grouped
+        return child
 
     # -- derived state ---------------------------------------------------------
 
@@ -189,7 +196,7 @@ class IFactSet:
             self._by_relation = {
                 r: frozenset(fids) for r, fids in index.items()  # boxed-ok: ints
             }
-        return self._by_relation.get(rid, frozenset())  # boxed-ok: ints
+        return self._by_relation.get(rid, _NO_IDS)
 
     def grouped(self) -> Dict[int, Tuple[Tuple[int, ...], ...]]:
         """Relation ID → tuple of argument-ID tuples (lazy, cached).

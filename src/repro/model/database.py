@@ -3,11 +3,16 @@
 A global database ``D`` over a schema is a finite set of facts. The class is
 immutable (so databases can be members of sets of possible worlds) and keeps
 a per-relation index used by the query evaluator.
+
+A new version costs its delta: :meth:`GlobalDatabase.with_facts` and
+:meth:`GlobalDatabase.without_facts` check only the facts they add, rebuild
+only the relations they touch, and, once the parent's interned core is
+built, derive the child's from it, interning only the added facts.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, Iterator, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Set, Tuple
 
 from repro.exceptions import NotGroundError
 from repro.model.atoms import Atom
@@ -144,11 +149,69 @@ class GlobalDatabase:
 
     def with_facts(self, extra: Iterable[Atom]) -> "GlobalDatabase":
         """A new database with *extra* facts added."""
-        return GlobalDatabase(self._facts | frozenset(extra))
+        return self._derive((), extra)
 
     def without_facts(self, removed: Iterable[Atom]) -> "GlobalDatabase":
         """A new database with *removed* facts dropped."""
-        return GlobalDatabase(self._facts - frozenset(removed))
+        return self._derive(removed, ())
+
+    def _derive(
+        self, removed: Iterable[Atom], added: Iterable[Atom]
+    ) -> "GlobalDatabase":
+        """``(self - removed) | added``, at the cost of the delta.
+
+        Only the facts actually added are checked for groundness; the
+        per-relation index is copied with only the touched relations
+        rebuilt; and when this database's core is built, the child's is
+        derived from it (:meth:`IFactSet.with_ids
+        <repro.core.factset.IFactSet.with_ids>` and ``without_ids`` share
+        that path). Removed facts are looked up in the symbol table, never
+        interned. Returns this database itself when nothing changes.
+        """
+        facts = self._facts
+        gone = facts.intersection(removed)
+        new = frozenset(added).difference(facts)
+        for f in new:
+            if not f.is_ground():
+                raise NotGroundError(f"database may only contain facts, got {f}")
+        if not gone and not new:
+            return self
+        child = object.__new__(GlobalDatabase)
+        kept = facts.difference(gone) if gone else facts
+        child._facts = kept.union(new) if new else kept
+        child._hash = hash(child._facts)
+        index = dict(self._by_relation)
+        touched: Dict[str, Tuple[List[Atom], List[Atom]]] = {}
+        for side, delta in enumerate((gone, new)):
+            for f in delta:
+                touched.setdefault(f.relation, ([], []))[side].append(f)
+        for name, (out, into) in touched.items():
+            rest = index.get(name, frozenset()).difference(out).union(into)
+            if rest:
+                index[name] = rest
+            else:
+                del index[name]
+        child._by_relation = index
+        core = self._core
+        if core is not None:
+            from repro.core.adapters import fact_of_atom
+
+            table = core.table
+            find = table.find_constant
+            # A removed fact is in this database, so its core holds its ID:
+            # look it up, never intern (a key holding None matches nothing).
+            gone_ids = [
+                table.find_fact(
+                    table.find_relation(f.relation),
+                    (find(c.value) for c in f.args),
+                )
+                for f in gone
+            ]
+            core = core.without_ids(gone_ids).with_ids(
+                fact_of_atom(table, f) for f in new
+            )
+        child._core = core
+        return child
 
     def restrict_to(self, relations: Iterable[str]) -> "GlobalDatabase":
         """Only the facts over the given relation names."""

@@ -62,6 +62,7 @@ class Substitution:
         return len(self._map)
 
     def items(self) -> Iterable[Tuple[Variable, Term]]:
+        """The ``(variable, term)`` bindings."""
         return self._map.items()
 
     def domain(self) -> frozenset:
@@ -133,6 +134,7 @@ class Valuation(Substitution):
         super().__init__(mapping)
 
     def extended(self, var: Variable, term: Term) -> "Valuation":
+        """A new valuation with one extra binding, which must be a constant."""
         term = as_term(term)
         if not isinstance(term, Constant):
             raise ModelError(f"valuation images must be constants: {term!r}")

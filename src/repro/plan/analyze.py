@@ -153,13 +153,13 @@ def explain_analyze(query, database, table=None) -> str:
     executes it with per-operator measurement, and renders the annotated
     tree plus a feedback summary line.
     """
-    from repro.plan.compiler import plan_for, plan_params
+    from repro.plan.compiler import _interned_params, plan_for
 
     core = database.core()
     plan = plan_for(query, table=table, facts=core)
     source = data_source_for(core)
     result, actuals = analyze_plan(
-        plan, source, plan_params(query, plan.table)
+        plan, source, _interned_params(query, plan.table)
     )
     lines = [render_analysis(plan, actuals, query), f"answers: {len(result)}"]
     feedback = plan.feedback
@@ -179,7 +179,7 @@ def explain_analyze_worlds(query, worlds: Iterable, table=None) -> str:
     rendering reports per-operator means per world — the shape the
     possible-worlds ``answer`` command actually pays for.
     """
-    from repro.plan.compiler import plan_for, plan_params
+    from repro.plan.compiler import _interned_params, plan_for
 
     plan = None
     totals: Actuals = {}
@@ -189,7 +189,7 @@ def explain_analyze_worlds(query, worlds: Iterable, table=None) -> str:
         core = world.core()
         if plan is None:
             plan = plan_for(query, table=table, facts=core)
-            params = plan_params(query, plan.table)
+            params = _interned_params(query, plan.table)
         source = data_source_for(core)
         result, actuals = analyze_plan(plan, source, params)
         for key, value in actuals.items():

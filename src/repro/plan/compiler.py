@@ -257,19 +257,35 @@ def plan_key(query, table) -> Tuple:
     raise PlanError(f"not a plannable query: {type(query).__name__}")
 
 
-def plan_params(query, table) -> Tuple[int, ...]:
+def plan_params(query, table) -> Optional[Tuple[int, ...]]:
     """The constant IDs *query* binds to its plan's parameter slots.
 
     The constants of a conjunctive query's relational body atoms, in
-    written order, interned in *table* (the plan's table); ``()`` for an
-    algebra tree, whose plan fixes its constants at compile time. Bound
-    per call, so a rollback that frees and reassigns a constant's ID cannot
-    leave a stale binding behind.
+    written order, looked up in *table* (the plan's table) and never
+    interned, so a read leaves the table as it was; ``()`` for an algebra
+    tree, whose plan fixes its constants at compile time. Call it after
+    the database's core is built, so every stored value is interned.
+    ``None`` when a value is not in *table*: no fact holds it, so the query
+    has no answers, and :func:`~repro.plan.executor.execute_plan` returns
+    none without executing. Bound per call, so a rollback that frees and
+    reassigns a constant's ID cannot leave a stale binding.
     """
+    params = _bind(query, table.find_constant)
+    return None if None in params else params
+
+
+def _interned_params(query, table) -> Tuple[int, ...]:
+    """:func:`plan_params` with every value interned: the binding EXPLAIN
+    and EXPLAIN ANALYZE render, which names a constant no database holds
+    too."""
+    return _bind(query, table.constant)
+
+
+def _bind(query, lookup) -> Tuple:
     if isinstance(query, ConjunctiveQuery):
         values = _cq_shape(query)[1]
         if values:
-            return tuple(map(table.constant, values))
+            return tuple(map(lookup, values))
     return ()
 
 

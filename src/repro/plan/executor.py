@@ -391,14 +391,19 @@ def record_feedback(
 
 
 def execute_plan(
-    plan: CompiledPlan, source: PlanDataSource, params: Sequence[int] = ()
+    plan: CompiledPlan,
+    source: PlanDataSource,
+    params: Optional[Sequence[int]] = (),
 ) -> FrozenSet[Tuple[int, ...]]:
     """Run a compiled plan under one binding of its parameter slots.
 
     *params* are the constant IDs of the query being answered
     (:func:`repro.plan.compiler.plan_params`); answers are rows of
-    constant IDs.
+    constant IDs. ``None`` — a query constant no fact holds — answers
+    nothing, without executing.
     """
+    if params is None:
+        return frozenset()  # boxed-ok: ints
     if len(params) != plan.param_count:
         raise PlanError(
             f"plan binds {plan.param_count} parameter(s), got {len(params)}"
@@ -478,11 +483,11 @@ def _estimate_suffix(node: PlanNode) -> str:
 
 def explain_text(plan: CompiledPlan, query, annotate=None) -> str:
     """*plan* rendered for *query*: its header line and its constants."""
-    from repro.plan.compiler import plan_params
+    from repro.plan.compiler import _interned_params
 
     return plan.explain(
         annotate,
-        plan_params(query, plan.table),
+        _interned_params(query, plan.table),
         str(query) if plan.kind == "cq" else None,
     )
 

@@ -58,8 +58,13 @@ class TestCanonicalKeys:
         q1 = parse_rule("ans(y) <- E(1, y)")
         q2 = parse_rule("ans(y) <- E('a', y)")
         assert plan_key(q1, table) == plan_key(q2, table)
-        assert plan_params(q1, table) == (table.constant(1),)
-        assert plan_params(q2, table) == (table.constant("a"),)
+        # Parameters are looked up, never interned: a value the table does
+        # not hold binds nothing.
+        assert plan_params(q1, table) is None
+        assert table.counts().constants == 0
+        one, a = table.constant(1), table.constant("a")
+        assert plan_params(q1, table) == (one,)
+        assert plan_params(q2, table) == (a,)
         # A constant is not a variable: E(1, y) and E(x, y) differ.
         assert plan_key(q1, table) != plan_key(
             parse_rule("ans(y) <- E(x, y)"), table

@@ -15,7 +15,7 @@ import weakref
 import repro.plan
 from repro.model import GlobalDatabase, fact
 from repro.plan import data_source_for, statistics_for
-from repro.queries import parse_rule
+from repro.queries import evaluate_naive, parse_rule
 from repro.shard import PartitionSpec, ShardedDatabase, ShardExecutor
 from repro.shard.planner import plan_shards
 
@@ -60,16 +60,21 @@ def test_dropped_version_is_freed_without_a_collection():
 
 
 def test_next_version_does_not_keep_its_parent():
-    # A derived fact set points at its parent weakly: once the caller
-    # moves on to the child, the parent and its state go, and the child's
-    # statistics are profiled afresh, exactly.
+    # A write derives the next version from its parent's core and views
+    # but keeps no reference to the parent: once the caller drops an
+    # evaluated parent, its fact sets, data sources and statistics go.
     database = version()
-    refs = evaluate_version(database)
-    core = database.core()
-    child = core.without_ids(sorted(core.ids())[:1])
-    del database, core
-    assert all(ref() is None for ref in refs)
-    assert child.derivation().parent() is None
-    stats = statistics_for(child)
-    assert not stats.incremental
-    assert stats.total_facts == len(child)
+    gc.disable()
+    try:
+        refs = evaluate_version(database)
+        child = database.without_facts(
+            [fact("Big", "k0", "z0"), fact("Tiny", "x0", "w0")]
+        ).with_facts([fact("Big", "k1", "z-new"), fact("Mid", "x9", "k9")])
+        del database
+        alive = [ref() for ref in refs if ref() is not None]
+    finally:
+        gc.enable()
+    assert alive == []
+    assert repro.plan.evaluate(CHAIN, child) == evaluate_naive(CHAIN, child)
+    stats = statistics_for(child.core())
+    assert stats.total_facts == len(child) == len(version())

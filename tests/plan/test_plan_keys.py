@@ -36,10 +36,13 @@ def test_a_lookup_survives_a_rollback_that_reassigns_its_constant():
     before.core()
     with table.exclusive():
         snapshot = table.snapshot()
-        # First sight binds the constant, which interns it ...
+        # A lookup interns nothing, so intern the constant here (as EXPLAIN
+        # would); first sight then binds its ID ...
         assert plan_evaluate(query, before) == set()
-        freed = table.find_constant("rolled-back")
+        assert table.snapshot() == snapshot
+        freed = table.constant("rolled-back")
         assert freed == snapshot.constants
+        assert plan_evaluate(query, before) == set()
         # ... then the rollback frees its ID and another constant takes it.
         table.rollback(snapshot)
         assert table.constant("squatter") == freed
@@ -139,6 +142,7 @@ def test_feedback_is_kept_per_scan_not_per_binding():
     plan = plan_for(query, facts=core)
     assert plan.feedback is not None and plan.feedback.checks
     assert len(plan.feedback.observed) <= len(plan.scan_nodes) == 2
-    # The data source keeps the rows of each binding it read.
+    # The data source keeps the rows of each binding it read; the 900 keys
+    # no fact holds bind nothing and read nothing.
     scans, _indexes = data_source_for(core).cached_artifacts()
-    assert scans >= 1000
+    assert scans >= 100

@@ -1,10 +1,10 @@
-"""The statistics catalog: profiling, incremental maintenance, edge cases."""
+"""The statistics catalog: profiling, derived fact sets, edge cases."""
 
 import weakref
 
+from repro.core import IFactSet
 from repro.model import GlobalDatabase, fact
 from repro.plan.statistics import (
-    RelationStats,
     TableStatistics,
     cached_statistics,
     statistics_counters,
@@ -16,8 +16,14 @@ def core_of(*facts):
     return GlobalDatabase(facts).core()
 
 
+def fresh_profile(facts):
+    """The statistics of a new fact set over the same IDs, whose views are
+    built from scratch."""
+    return TableStatistics.profile(IFactSet(facts.table, facts.ids()))
+
+
 def assert_same_statistics(a: TableStatistics, b: TableStatistics):
-    """Structural equality: cardinalities and per-column count maps."""
+    """Structural equality: cardinalities and per-column distinct counts."""
     assert a.total_facts == b.total_facts
     assert a.relations.keys() == b.relations.keys()
     for rid in a.relations:
@@ -25,7 +31,7 @@ def assert_same_statistics(a: TableStatistics, b: TableStatistics):
         assert left.cardinality == right.cardinality
         assert len(left.columns) == len(right.columns)
         for cl, cr in zip(left.columns, right.columns):
-            assert cl.counts == cr.counts
+            assert cl.distinct == cr.distinct
 
 
 class TestProfile:
@@ -59,70 +65,71 @@ class TestProfile:
         core = core_of(*(fact("R", "same", i) for i in range(10)))
         stats = TableStatistics.profile(core)
         (relation,) = stats.relations.values()
-        column = relation.column(0)
-        assert column.distinct == 1
-        ((_cid, count),) = column.most_common()
-        assert count == relation.cardinality == 10
+        assert relation.column(0).distinct == 1
+        assert relation.column(1).distinct == relation.cardinality == 10
 
-    def test_mcv_sketch_ranks_heavy_hitters_first(self):
+    def test_mixed_arities_count_per_position(self):
+        # One relation name at two arities: position 1 counts only the
+        # rows that have one.
         core = core_of(
-            *(fact("R", "hot", i) for i in range(8)),
-            fact("R", "cold", 100),
+            fact("R", "a"), fact("R", "b"), fact("R", "a", 1), fact("R", "c", 1)
         )
         stats = TableStatistics.profile(core)
         (relation,) = stats.relations.values()
-        top = relation.column(0).most_common(1)
-        assert top[0][1] == 8
-        rendered = relation.column(0).explain_mcv(core_of().table)
-        assert "'hot'×8" in rendered
+        assert relation.cardinality == 4
+        assert relation.column(0).distinct == 3
+        assert relation.column(1).distinct == 1
+        assert relation.column(2) is None
 
 
 class TestIncremental:
+    """A derived fact set patches its parent's views; its statistics, profiled
+    afresh, describe it exactly."""
+
     def test_derive_matches_fresh_profile_after_removal(self):
         base_core = core_of(*(fact("R", f"a{i % 3}", i) for i in range(12)))
-        base = TableStatistics.profile(base_core)
+        statistics_for(base_core)
         removed = tuple(base_core)[:4]
         derived_core = base_core.without_ids(removed)
-        hint = derived_core.derivation()
-        derived = TableStatistics.derive(
-            base, derived_core, hint.added, hint.removed
+        assert_same_statistics(
+            statistics_for(derived_core), fresh_profile(derived_core)
         )
-        assert derived.incremental
-        assert_same_statistics(derived, TableStatistics.profile(derived_core))
 
     def test_derive_matches_fresh_profile_after_addition(self):
         base_core = core_of(fact("R", "a"), fact("R", "b"))
         extra_core = core_of(fact("R", "c"), fact("S", "x", "y"))
-        base = TableStatistics.profile(base_core)
+        statistics_for(base_core)
         grown_core = base_core.with_ids(tuple(extra_core))
-        hint = grown_core.derivation()
-        grown = TableStatistics.derive(
-            base, grown_core, hint.added, hint.removed
+        assert_same_statistics(
+            statistics_for(grown_core), fresh_profile(grown_core)
         )
-        assert_same_statistics(grown, TableStatistics.profile(grown_core))
 
     def test_removing_every_fact_of_a_relation_drops_it(self):
         base_core = core_of(fact("R", "a"), fact("S", "b"))
-        base = TableStatistics.profile(base_core)
-        s_ids = [
-            fid for fid in base_core
-            if base_core.table.fact_tuple(fid)[1:]
-            == (base_core.table.constant("b"),)
-        ]
-        derived_core = base_core.without_ids(s_ids)
-        hint = derived_core.derivation()
-        derived = TableStatistics.derive(
-            base, derived_core, hint.added, hint.removed
-        )
-        assert_same_statistics(derived, TableStatistics.profile(derived_core))
+        statistics_for(base_core)
+        s_rid = base_core.table.find_relation("S")
+        derived_core = base_core.without_ids(base_core.by_relation(s_rid))
+        derived = statistics_for(derived_core)
+        assert s_rid not in derived.relations
+        assert s_rid not in derived_core.grouped()
+        r_rid = base_core.table.find_relation("R")
+        assert derived_core.relations() == (r_rid,)
         assert len(derived.relations) == 1
 
     def test_derive_does_not_mutate_the_base(self):
-        base_core = core_of(fact("R", "a"), fact("R", "b"))
-        base = TableStatistics.profile(base_core)
-        derived_core = base_core.without_ids(tuple(base_core)[:1])
-        hint = derived_core.derivation()
-        TableStatistics.derive(base, derived_core, hint.added, hint.removed)
+        base_core = core_of(fact("R", "a"), fact("R", "b"), fact("S", "c"))
+        base = statistics_for(base_core)
+        grouped = {rid: set(rows) for rid, rows in base_core.grouped().items()}
+        base_core.relations()
+        derived_core = base_core.without_ids(tuple(base_core)[:1]).with_ids(
+            tuple(core_of(fact("R", "d"), fact("T", "e")))
+        )
+        assert len(derived_core) == 4
+        assert {
+            rid: set(rows) for rid, rows in base_core.grouped().items()
+        } == grouped
+        rids = base_core.relations()
+        assert sum(len(base_core.by_relation(rid)) for rid in rids) == 3
         assert_same_statistics(base, TableStatistics.profile(base_core))
 
 
@@ -137,44 +144,34 @@ class TestCatalog:
         core = core_of(fact("R", "a"))
         first = statistics_for(core)
         assert statistics_for(core) is first
-        assert counter_deltas(before) == {
-            "built": 1, "profiled": 1, "incremental": 0,
-        }
-
-    def test_derived_set_maintains_incrementally(self):
-        base_core = core_of(*(fact("R", "a", i) for i in range(20)))
-        before = statistics_counters()
-        statistics_for(base_core)
-        derived_core = base_core.without_ids(tuple(base_core)[:2])
-        derived = statistics_for(derived_core)
-        counters = counter_deltas(before)
-        assert derived.incremental
-        assert counters["incremental"] == 1
-        assert counters["profiled"] == 1
-        assert_same_statistics(derived, TableStatistics.profile(derived_core))
+        assert counter_deltas(before) == {"built": 1}
 
     def test_large_delta_falls_back_to_fresh_profile(self):
+        # Every fact set is profiled afresh, whatever its delta.
         base_core = core_of(*(fact("R", "a", i) for i in range(20)))
         before = statistics_counters()
         statistics_for(base_core)
         derived_core = base_core.without_ids(tuple(base_core)[:18])
         derived = statistics_for(derived_core)
-        assert not derived.incremental
-        assert counter_deltas(before)["profiled"] == 2
+        assert counter_deltas(before) == {"built": 2}
+        assert derived.cardinality(derived_core.relations()[0]) == 2
 
     def test_dropped_parent_falls_back_to_fresh_profile(self):
+        # The child keeps a copy of its parent's grouped view, not the
+        # parent: profiled after the parent is gone, it is still exact.
         base_core = core_of(*(fact("R", "a", i) for i in range(20)))
         statistics_for(base_core)
         derived_core = base_core.without_ids(tuple(base_core)[:2])
+        ref = weakref.ref(base_core)
         del base_core
+        assert ref() is None
         derived = statistics_for(derived_core)
-        assert not derived.incremental
-        assert_same_statistics(derived, TableStatistics.profile(derived_core))
+        assert_same_statistics(derived, fresh_profile(derived_core))
 
     def test_statistics_after_snapshot_rollback(self):
         # Remove a delta, then roll it back: the rolled-back set is
-        # value-equal to the base, and its statistics (derived from the
-        # removal's) must still describe the base exactly.
+        # value-equal to the base, and its statistics (profiled from a
+        # grouped view patched twice) must still describe the base exactly.
         base_core = core_of(*(fact("R", f"v{i}", i) for i in range(10)))
         statistics_for(base_core)
         removed = tuple(base_core)[:3]

@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.confidence.engine.memo import LRUMemo
+from repro.core import global_table
 from repro.model import GlobalDatabase, fact
 from repro.plan import (
     data_source_for,
@@ -149,3 +150,25 @@ def test_a_thousand_first_sight_lookups_leave_one_plan():
     assert len(cache) == 1
     assert after.misses - before.misses == 1
     assert after.evictions == before.evictions
+
+
+def test_lookups_of_absent_keys_intern_nothing():
+    # A read binds its constants by lookup: a key no database holds binds
+    # nothing, answers nothing and adds no symbol. Once a write stores the
+    # key, the same shape's cached plan finds it.
+    table = global_table()
+    database = GlobalDatabase(fact("Ak", f"k{i}", f"v{i}") for i in range(100))
+    assert plan_evaluate(parse_rule("ans(v) <- Ak('k1', v)"), database) == {
+        fact("ans", "v1")
+    }
+    before = table.counts()
+    cache = shared_plan_cache().stats()
+    for i in range(1000):
+        query = parse_rule(f"ans(v) <- Ak('absent-key-{i}', v)")
+        assert plan_evaluate(query, database) == set()
+    assert table.counts() == before
+    later = database.with_facts([fact("Ak", "absent-key-7", "late")])
+    query = parse_rule("ans(v) <- Ak('absent-key-7', v)")
+    assert plan_evaluate(query, later) == {fact("ans", "late")}
+    assert plan_evaluate(query, database) == set()
+    assert shared_plan_cache().stats().misses == cache.misses
