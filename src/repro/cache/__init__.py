@@ -6,8 +6,7 @@ enrolled in the process-wide :class:`~repro.cache.runtime.CacheRegistry`
 returned by :func:`cache_registry`. The registry gives them:
 
 * a **global byte budget** (``--cache-budget-mb``) with weighted
-  least-recently-used eviction across caches,
-* a flush of every enrolled cache on a destructive symbol rollback, and
+  least-recently-used eviction across caches, and
 * one uniform **stats tree** (``stats()["cache"]``).
 
 State derived from one database lives on its fact set instead
@@ -27,13 +26,8 @@ from repro.cache.runtime import (
     default_sizeof,
     sizeof_estimate,
 )
-from repro.core.symbols import global_table
 
 _REGISTRY = CacheRegistry()
-
-# A destructive rollback of the global symbol table invalidates interned
-# IDs that enrolled caches may have captured; flush them through the bus.
-global_table().on_rollback(_REGISTRY.on_symbol_rollback)
 
 
 def cache_registry() -> CacheRegistry:

@@ -291,7 +291,7 @@ class LRUMemo:
 
 
 class CacheRegistry:
-    """The process-wide cache runtime: budget, rollback flush, stats tree.
+    """The process-wide cache runtime: one byte budget and one stats tree.
 
     Enrolled caches share one optional byte budget; ``None`` (the default)
     means per-cache ``maxsize`` bounds alone apply — exactly the historical
@@ -303,16 +303,11 @@ class CacheRegistry:
         self._caches: "OrderedDict[str, LRUMemo]" = OrderedDict()
         self._budget = budget_bytes
         self.budget_evictions = 0
-        self.rollback_flushes = 0
 
     # -- enrollment --------------------------------------------------------------
 
     def enroll(self, memo: LRUMemo) -> LRUMemo:
-        """Put one named cache under the registry's budget.
-
-        Every enrolled cache is flushed on a destructive symbol-table
-        rollback (see :meth:`on_symbol_rollback`).
-        """
+        """Put one named cache under the registry's budget and stats tree."""
         if not memo.name:
             raise ValueError("an enrolled cache needs a name")
         with self._lock:
@@ -407,29 +402,6 @@ class CacheRegistry:
                 out[memo.name or repr(memo)] = dropped
         return out
 
-    def on_symbol_rollback(self, removed: int) -> None:
-        """Flush every enrolled cache after a destructive symbol rollback.
-
-        Wired to :meth:`repro.core.symbols.SymbolTable.on_rollback` for the
-        global table. Enrolled caches key or hold interned symbol IDs (the
-        engine memo's keys carry interned completeness bounds), and IDs
-        above the truncation point may be reused, which a key cannot
-        detect. Rollbacks only happen on aborted registry mutations
-        (rare), so a flush — sound by construction — beats tracking which
-        entries captured since-reused IDs.
-        """
-        if removed <= 0:
-            return
-        with self._lock:
-            caches = list(self._caches.values())
-            self.rollback_flushes += 1
-        for memo in caches:
-            flushed = len(memo)
-            memo.clear()
-            if flushed:
-                with memo._lock:
-                    memo.invalidations += flushed
-
     def clear_all(self) -> None:
         """Drop every enrolled cache's entries (tests and benchmarks)."""
         for memo in self.caches():
@@ -444,7 +416,7 @@ class CacheRegistry:
 
             {"budget_bytes": int|None, "bytes": int, "hits": int,
              "misses": int, "evictions": int, "invalidations": int,
-             "budget_evictions": int, "rollback_flushes": int,
+             "budget_evictions": int,
              "caches": {name: {hits, misses, hit_rate, evictions,
                                invalidations, bytes, size, maxsize}}}
         """
@@ -462,7 +434,6 @@ class CacheRegistry:
         return {
             "budget_bytes": self._budget,
             "budget_evictions": self.budget_evictions,
-            "rollback_flushes": self.rollback_flushes,
             "caches": per_cache,
             **totals,
         }

@@ -29,8 +29,40 @@ from repro.model.terms import Constant, Variable, as_term
 from repro.sources.collection import SourceCollection
 from repro.confidence.engine import kernel
 
-#: Backwards-compatible alias (the implementation moved to the engine kernel).
-_partial_binomial_sum = kernel.partial_binomial_sum
+
+def check_identity_collection(
+    collection: SourceCollection, domain: Iterable
+) -> str:
+    """The global relation of *collection*, checked against *domain*.
+
+    The §5.1 precondition, by value: every view is an identity over one
+    global relation, and every extension constant is in *domain* (values
+    or boxed constants). Raises :class:`~repro.exceptions.SourceError`
+    otherwise, and interns nothing, so a caller can check a collection
+    before committing to it.
+    """
+    relation = collection.identity_relation()
+    if relation is None:
+        raise SourceError(
+            "IdentityInstance requires all views to be identities over one "
+            "global relation (Section 5.1 special case)"
+        )
+    domain_set = frozenset(
+        c.value if isinstance(c, (Constant, Variable)) else c for c in domain
+    )
+    for source in collection:
+        if domain_set.issuperset(
+            [a.value for f in source.extension for a in f.args]
+        ):
+            continue
+        for f in source.extension:
+            missing = [a for a in f.args if a.value not in domain_set]
+            if missing:
+                raise SourceError(
+                    f"extension fact {Atom(relation, f.args)} uses constants "
+                    f"outside the domain: {missing}"
+                )
+    return relation
 
 
 class SignatureBlock:
@@ -72,15 +104,6 @@ class IdentityInstance:
     """
 
     def __init__(self, collection: SourceCollection, domain: Iterable):
-        relation = collection.identity_relation()
-        if relation is None:
-            raise SourceError(
-                "IdentityInstance requires all views to be identities over one "
-                "global relation (Section 5.1 special case)"
-            )
-        self.collection = collection
-        self.relation = relation
-        self.arity = collection.sources[0].view.head.arity
         # The domain is kept as raw values; the boxed Constant tuple is a
         # lazy property. Only *extension* constants are ever interned — the
         # anonymous fact space exists purely as the arithmetic
@@ -90,6 +113,10 @@ class IdentityInstance:
             c.value if isinstance(c, (Constant, Variable)) else c
             for c in dict.fromkeys(domain)
         )
+        relation = check_identity_collection(collection, self._raw_domain)
+        self.collection = collection
+        self.relation = relation
+        self.arity = collection.sources[0].view.head.arity
         self._domain_boxed: Optional[Tuple[Constant, ...]] = None
         self.fact_space_size = len(self._raw_domain) ** self.arity
 
@@ -103,7 +130,6 @@ class IdentityInstance:
         table = global_table()
         rid = table.relation(relation)
         intern_constant = table.constant
-        raw_domain_set = frozenset(self._raw_domain)
 
         # Per-source data, in collection order.
         self.names: List[str] = []
@@ -116,20 +142,10 @@ class IdentityInstance:
             bit = 1 << i
             fids: set = set()
             for f in source.extension:
-                values = [a.value for a in f.args]
-                if not raw_domain_set.issuperset(values):
-                    renamed = Atom(relation, f.args)
-                    missing = [
-                        a
-                        for a in renamed.args
-                        if a.value not in raw_domain_set
-                    ]
-                    raise SourceError(
-                        f"extension fact {renamed} uses constants outside the "
-                        f"domain: {missing}"
-                    )
                 fids.add(
-                    table.fact(rid, tuple(intern_constant(v) for v in values))
+                    table.fact(
+                        rid, tuple([intern_constant(a.value) for a in f.args])
+                    )
                 )
             for fid in fids:
                 signature_of[fid] = signature_of.get(fid, 0) | bit
@@ -274,19 +290,6 @@ class IdentityInstance:
             if sound_counts[i] < self.completeness_bounds[i] * total:
                 return False
         return True
-
-    def max_total_for(self, sound_counts: Sequence[int]) -> Optional[int]:
-        """The largest |D| the completeness bounds allow for given t_i.
-
-        ``None`` means unbounded (every completeness bound is zero).
-        """
-        cap: Optional[int] = None
-        for i in range(self.n_sources):
-            c = self.completeness_bounds[i]
-            if c > 0:
-                limit = int(Fraction(sound_counts[i]) / c)
-                cap = limit if cap is None else min(cap, limit)
-        return cap
 
 
 class BlockCounter:
@@ -471,7 +474,7 @@ class BlockCounter:
                 sound[i] < inst.min_sound[i] for i in range(inst.n_sources)
             ):
                 continue
-            cap = inst.max_total_for(sound)
+            cap = kernel.max_total_for(inst.completeness_bounds, sound)
             if cap is None:
                 budget = inst.anonymous_size
             else:

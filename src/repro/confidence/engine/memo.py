@@ -29,8 +29,7 @@ The cache itself is an :class:`~repro.cache.runtime.LRUMemo` from the
 unified cache runtime (``repro.cache``): thread-safe LRU with
 hit/miss/eviction counters and byte accounting. The shared instance is
 enrolled in the process-wide :class:`~repro.cache.runtime.CacheRegistry`
-as ``"engine.memo"``, so it participates in the global byte budget and is
-flushed on a symbol rollback (keys hold interned completeness IDs). Keys
+as ``"engine.memo"``, so it participates in the global byte budget. Keys
 *are* the counting problems, so a line can never go stale: lines of a
 superseded registry version are reclaimed by LRU and the budget.
 ``CacheStats``, ``LRUMemo``, and ``DEFAULT_CACHE_SIZE`` are re-exported

@@ -19,7 +19,8 @@ from repro.exceptions import DomainTooLargeError, InconsistentCollectionError
 from repro.model.atoms import Atom
 from repro.model.database import GlobalDatabase
 from repro.sources.collection import SourceCollection
-from repro.confidence.blocks import IdentityInstance, _partial_binomial_sum
+from repro.confidence.blocks import IdentityInstance
+from repro.confidence.engine import kernel
 from repro.confidence.worlds import fact_space
 
 State = Tuple[Tuple[int, ...], int]
@@ -78,7 +79,7 @@ class WorldSampler:
             sound, covered = state
             if any(sound[i] < instance.min_sound[i] for i in range(n)):
                 continue
-            cap = instance.max_total_for(sound)
+            cap = kernel.max_total_for(instance.completeness_bounds, sound)
             if cap is None:
                 budget: Optional[int] = None
                 choices = 1 << instance.anonymous_size
@@ -86,7 +87,9 @@ class WorldSampler:
                 budget = cap - covered
                 if budget < 0:
                     continue
-                choices = _partial_binomial_sum(instance.anonymous_size, budget)
+                choices = kernel.partial_binomial_sum(
+                    instance.anonymous_size, budget
+                )
             if weight * choices > 0:
                 self.final_states.append(state)
                 self.final_weights.append(weight * choices)

@@ -10,9 +10,8 @@ those comparisons. This package interns each distinct symbol once into a
 dense integer ID and lets the hot paths speak integers natively:
 
 * :class:`SymbolTable` — process-wide interning of constants, variables,
-  relation names, ground facts, and hash-consed :class:`IAtom` patterns,
-  with explicit :meth:`~SymbolTable.snapshot` / :meth:`~SymbolTable.rollback`
-  for transactional producers (the service registry).
+  relation names, ground facts, and hash-consed :class:`IAtom` patterns;
+  an ID, once handed out, is permanent.
 * :class:`IAtom` — an atom as ``(relation id, term ids...)`` with a cached
   hash; negative term IDs are variables, non-negative IDs constants.
 * :class:`IFactSet` — an immutable set of fact IDs backed by a sorted

@@ -169,8 +169,7 @@ class IFactSet:
         """``build(self)``, computed on first use and kept on this set.
 
         The artifact lives exactly as long as the set: a superseded version
-        takes its artifacts with it when its last reference goes, and a set
-        over IDs reused after a symbol rollback starts with none. *build*
+        takes its artifacts with it when its last reference goes. *build*
         must not keep a reference to the set, or the two form a cycle that
         only the garbage collector frees. Two threads racing on first use
         may both build; every caller gets the value stored first.

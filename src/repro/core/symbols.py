@@ -16,16 +16,13 @@ adapters and the fast paths):
 * **IDs are process-local** — they are *not* stable across processes. Data
   shipped to worker processes goes through value-level encodings (the
   kernel's wire format) or boxed objects, never raw IDs.
-* **One boxed term per constant** — built on first decode, handed to
-  every decoder by :meth:`SymbolTable.constant_term`, dropped on rollback.
+* **One boxed term per constant** — built on first decode and handed to
+  every decoder by :meth:`SymbolTable.constant_term`.
 * **Publish after the reverse entry** — a new ID enters the lock-free
   lookup dict only once it resolves.
-* **Rollback needs exclusivity** — :meth:`SymbolTable.rollback` truncates
-  every namespace back to a :meth:`SymbolTable.snapshot`. That is only sound
-  when no other thread interned in between, so transactional writers (the
-  service registry) hold :meth:`SymbolTable.exclusive` around the whole
-  mutate-or-rollback window; the interning lock is reentrant, so the
-  writer's own interning proceeds normally.
+* **IDs are permanent** — the table only grows, so no ID is ever given a
+  second meaning; code that may abort checks its input by value before it
+  interns.
 """
 
 from __future__ import annotations
@@ -75,12 +72,10 @@ class SymbolTable:
         "_fact_tuples",
         "_atoms",
         "_atom_keys",
-        "_rollback_listeners",
     )
 
     def __init__(self):
-        self._lock = threading.RLock()
-        self._rollback_listeners: List[Any] = []
+        self._lock = threading.Lock()
         self._constants: Dict[Any, int] = {}
         self._constant_values: List[Any] = []
         self._constant_terms: List[Optional[Constant]] = []
@@ -208,7 +203,7 @@ class SymbolTable:
     def constant_term(self, cid: int) -> Constant:
         """The shared boxed :class:`~repro.model.terms.Constant` of an ID.
 
-        Built on first decode and kept until a rollback frees the ID.
+        Built on first decode and kept for the life of the table.
         """
         term = self._constant_terms[cid]
         if term is None:
@@ -236,20 +231,10 @@ class SymbolTable:
         """The argument constant IDs of a fact ID."""
         return self._fact_tuples[fid][1:]
 
-    # -- transactions ----------------------------------------------------------
+    # -- introspection ---------------------------------------------------------
 
-    def exclusive(self):
-        """The interning lock, as a context manager.
-
-        Hold it around a mutate-or-rollback window: no other thread can
-        intern while it is held, which is exactly the condition under which
-        :meth:`rollback` is sound. Reentrant, so the holder's own interning
-        works as usual.
-        """
-        return self._lock
-
-    def snapshot(self) -> SymbolSnapshot:
-        """The current size of every namespace (for :meth:`rollback`)."""
+    def counts(self) -> SymbolSnapshot:
+        """The current size of every namespace."""
         with self._lock:
             return SymbolSnapshot(
                 constants=len(self._constant_values),
@@ -258,57 +243,6 @@ class SymbolTable:
                 facts=len(self._fact_tuples),
                 atoms=len(self._atom_keys),
             )
-
-    def rollback(self, snap: SymbolSnapshot) -> int:
-        """Forget every symbol interned after *snap*; returns how many.
-
-        Only sound while :meth:`exclusive` has been held since the snapshot
-        was taken (otherwise another thread's IDs would be destroyed). IDs
-        handed out after the snapshot become invalid; the caller must drop
-        every structure that captured them (the registry clears the caches
-        of the snapshots involved in an aborted mutation).
-        """
-        with self._lock:
-            removed = 0
-            while len(self._constant_values) > snap.constants:
-                del self._constants[self._constant_values.pop()]
-                self._constant_terms.pop()
-                removed += 1
-            while len(self._variable_names) > snap.variables:
-                del self._variables[self._variable_names.pop()]
-                removed += 1
-            while len(self._relation_names) > snap.relations:
-                del self._relations[self._relation_names.pop()]
-                removed += 1
-            while len(self._fact_tuples) > snap.facts:
-                del self._facts[self._fact_tuples.pop()]
-                removed += 1
-            while len(self._atom_keys) > snap.atoms:
-                del self._atoms[self._atom_keys.pop()]
-                removed += 1
-            listeners = tuple(self._rollback_listeners) if removed else ()
-        for listener in listeners:
-            listener(removed)
-        return removed
-
-    def on_rollback(self, listener) -> None:
-        """Register ``listener(removed)`` to run after destructive rollbacks.
-
-        Called only when a rollback actually truncated symbols (``removed``
-        is positive), outside the interning lock's critical work but still
-        inside the caller's :meth:`exclusive` window when one is held. The
-        cache runtime uses this to flush ID-sensitive caches whose entries
-        may capture since-invalidated IDs.
-        """
-        with self._lock:
-            if listener not in self._rollback_listeners:
-                self._rollback_listeners.append(listener)
-
-    # -- introspection ---------------------------------------------------------
-
-    def counts(self) -> SymbolSnapshot:
-        """Alias of :meth:`snapshot` under an introspection-flavoured name."""
-        return self.snapshot()
 
     def __repr__(self) -> str:
         c = self.counts()

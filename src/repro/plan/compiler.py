@@ -267,8 +267,7 @@ def plan_params(query, table) -> Optional[Tuple[int, ...]]:
     the database's core is built, so every stored value is interned.
     ``None`` when a value is not in *table*: no fact holds it, so the query
     has no answers, and :func:`~repro.plan.executor.execute_plan` returns
-    none without executing. Bound per call, so a rollback that frees and
-    reassigns a constant's ID cannot leave a stale binding.
+    none without executing.
     """
     params = _bind(query, table.find_constant)
     return None if None in params else params

@@ -5,7 +5,7 @@ See ``docs/service.md`` for the architecture. Layering, bottom up:
 * :mod:`~repro.service.requests` — request/response vocabulary with
   explicit terminal statuses (OK / TIMEOUT / REJECTED / ERROR).
 * :mod:`~repro.service.registry` — versioned, copy-on-write source
-  registry; each mutation reports the signature blocks it touched.
+  registry; a mutation checks the new version, then swaps the head.
 * :mod:`~repro.service.faults` — the source-read seam:
   :class:`PerSourceGateway` gives every source its own lane, seeded fault
   policy (latency, transient errors, crashes, partitions) and counters;
@@ -32,7 +32,6 @@ from repro.service.registry import (
     RegistryDiff,
     RegistrySnapshot,
     SourceRegistry,
-    diff_snapshots,
 )
 from repro.service.requests import (
     ConfidenceRequest,
@@ -50,7 +49,6 @@ __all__ = [
     "SourceRegistry",
     "RegistrySnapshot",
     "RegistryDiff",
-    "diff_snapshots",
     "ConfidenceRequest",
     "ServiceResponse",
     "RequestStatus",

@@ -135,6 +135,7 @@ class SourceLane:
                 )
 
     def counters(self) -> Dict[str, object]:
+        """The lane's read and fault counters, with its current policy."""
         return {
             "reads": self.reads,
             "errors_injected": self.errors_injected,
@@ -177,12 +178,14 @@ class PerSourceGateway:
     # -- policy surface (the chaos runner's mutation seam) -----------------------
 
     def lane(self, name: str) -> SourceLane:
+        """The lane of source *name*, created with the default policy."""
         lane = self._lanes.get(name)
         if lane is None:
             lane = self._lanes[name] = SourceLane(name, self.default, self.seed)
         return lane
 
     def policy_for(self, name: str) -> FaultPolicy:
+        """The fault policy source *name* reads under (creates no lane)."""
         lane = self._lanes.get(name)
         return lane.policy if lane is not None else self.default
 

@@ -36,6 +36,7 @@ class Counter:
         self._lock = threading.Lock()
 
     def inc(self, amount: int = 1) -> None:
+        """Add a non-negative *amount*."""
         if amount < 0:
             raise ValueError("counters only go up; use a Gauge")
         with self._lock:
@@ -53,18 +54,21 @@ class Gauge:
         self._lock = threading.Lock()
 
     def set(self, value: int) -> None:
+        """Set the value, raising the high-water mark if it passes it."""
         with self._lock:
             self.value = value
             if value > self.high_water:
                 self.high_water = value
 
     def inc(self, amount: int = 1) -> None:
+        """Add *amount* (may be negative), tracking the high-water mark."""
         with self._lock:
             self.value += amount
             if self.value > self.high_water:
                 self.high_water = self.value
 
     def dec(self, amount: int = 1) -> None:
+        """Subtract *amount*."""
         self.inc(-amount)
 
 
@@ -87,6 +91,7 @@ class Histogram:
         self._lock = threading.Lock()
 
     def observe(self, value: float) -> None:
+        """Record one value in the exact totals and the reservoir."""
         with self._lock:
             self.count += 1
             self.total += value
@@ -111,6 +116,7 @@ class Histogram:
         return ordered[index]
 
     def snapshot(self) -> Dict[str, object]:
+        """Count, sum, min, max, mean and the sampled percentiles."""
         with self._lock:
             mean = self.total / self.count if self.count else None
             out: Dict[str, object] = {
@@ -140,12 +146,15 @@ class MetricsRegistry:
         self._histograms: Dict[str, Histogram] = {}
 
     def counter(self, name: str) -> Counter:
+        """The counter *name*, created on first use."""
         return self._instrument(self._counters, name, Counter)
 
     def gauge(self, name: str) -> Gauge:
+        """The gauge *name*, created on first use."""
         return self._instrument(self._gauges, name, Gauge)
 
     def histogram(self, name: str) -> Histogram:
+        """The histogram *name*, created on first use."""
         return self._instrument(self._histograms, name, Histogram)
 
     def _instrument(self, instruments: Dict, name: str, factory):

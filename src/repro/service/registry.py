@@ -1,4 +1,4 @@
-"""Versioned source registry: copy-on-write snapshots and block diffs.
+"""Versioned source registry: copy-on-write snapshots, validate then swap.
 
 The registry is the service's only mutable state. Every mutation —
 ``register``, ``update``, ``deregister``, ``set_domain`` — builds a brand-new
@@ -8,31 +8,36 @@ grabbed version *v* at admission keeps computing against *v* no matter what
 lands meanwhile. That is the snapshot-isolation guarantee the acceptance
 test exercises by registering a source mid-flight.
 
-Each mutation also yields a :class:`RegistryDiff` naming which signature
-blocks of the *old* snapshot the change touched: blocks whose membership
-signature involves a changed source, or whose fact set gained or lost
-members. The engine memo needs no invalidation from it: a memo key *is*
-the counting problem, so a line can never become wrong, and lines no
-version will ask for again are reclaimed by LRU and the byte budget —
-while a mutation that restores an earlier state, a re-registration under
-a new name, a permutation of sources, or a renamed domain still hits them.
+A snapshot checks its collection by value when it is built
+(:func:`~repro.confidence.blocks.check_identity_collection`: identity views
+over one relation, every extension constant in the domain). An invalid
+mutation therefore raises :class:`~repro.exceptions.SourceError` before the
+head moves, and interns nothing. The engine memo needs no invalidation: a
+memo key *is* the counting problem, so a line can never become wrong, and
+lines no version will ask for again are reclaimed by LRU and the byte
+budget — while a mutation that restores an earlier state, a
+re-registration under a new name, a permutation of sources, or a renamed
+domain still hits them.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from repro.exceptions import SourceError
 from repro.model.atoms import Atom
 from repro.sources.collection import SourceCollection
 from repro.sources.descriptor import SourceDescriptor
-from repro.confidence.blocks import IdentityInstance
+from repro.confidence.blocks import IdentityInstance, check_identity_collection
 
 
 class RegistrySnapshot:
     """One immutable registry version: a collection and a domain.
 
+    A non-empty collection must pass
+    :func:`~repro.confidence.blocks.check_identity_collection` against the
+    domain, or construction raises :class:`~repro.exceptions.SourceError`.
     The block decomposition (:class:`IdentityInstance`) is built lazily on
     first use and cached — snapshots are cheap to mint and only pay for
     analysis when a request actually computes against them.
@@ -46,6 +51,8 @@ class RegistrySnapshot:
         self.version = version
         self.collection = collection
         self.domain: Tuple = tuple(domain)
+        if len(collection):
+            check_identity_collection(collection, self.domain)
         self._lock = threading.Lock()
         self._instance: Optional[IdentityInstance] = None
 
@@ -69,88 +76,36 @@ class RegistrySnapshot:
 
 
 class RegistryDiff:
-    """What one registry mutation changed, in block terms.
+    """What one registry mutation changed: versions and source names."""
 
-    ``touched_blocks`` indexes blocks of the *old* snapshot the change
-    touched; ``full`` marks mutations (domain changes, first registration)
-    that touch everything.
-    """
-
-    __slots__ = ("old_version", "new_version", "changed_sources",
-                 "touched_blocks", "full")
+    __slots__ = ("old_version", "new_version", "changed_sources")
 
     def __init__(
         self,
         old_version: int,
         new_version: int,
         changed_sources: FrozenSet[str],
-        touched_blocks: Tuple[int, ...],
-        full: bool = False,
     ):
         self.old_version = old_version
         self.new_version = new_version
         self.changed_sources = changed_sources
-        self.touched_blocks = touched_blocks
-        self.full = full
 
     def __repr__(self) -> str:
-        scope = "full" if self.full else f"blocks={list(self.touched_blocks)}"
         return (
             f"RegistryDiff(v{self.old_version}->v{self.new_version}, "
-            f"sources={sorted(self.changed_sources)}, {scope})"
+            f"sources={sorted(self.changed_sources)})"
         )
-
-
-def diff_snapshots(
-    old: RegistrySnapshot,
-    new: RegistrySnapshot,
-    changed_sources: FrozenSet[str],
-) -> RegistryDiff:
-    """Compute which old-snapshot blocks a mutation touched.
-
-    A block is touched when its signature contains a changed source or when
-    its fact membership differs between the snapshots' decompositions. A
-    domain change (or an old snapshot with no decomposable collection)
-    degrades to a full diff.
-    """
-    if old.domain != new.domain or not len(old.collection):
-        return RegistryDiff(
-            old.version, new.version, changed_sources, (), full=True
-        )
-    old_instance = old.instance()
-    changed_indices = {
-        i for i, name in enumerate(old_instance.names) if name in changed_sources
-    }
-    new_signature_of: Dict[Atom, FrozenSet[str]] = {}
-    if len(new.collection):
-        new_instance = new.instance()
-        for block in new_instance.blocks:
-            names = frozenset(
-                new_instance.names[i] for i in block.signature
-            )
-            for f in block.facts:
-                new_signature_of[f] = names
-    touched: List[int] = []
-    for j, block in enumerate(old_instance.blocks):
-        names = frozenset(old_instance.names[i] for i in block.signature)
-        if block.signature & frozenset(changed_indices):
-            touched.append(j)
-            continue
-        if any(new_signature_of.get(f) != names for f in block.facts):
-            touched.append(j)
-    return RegistryDiff(
-        old.version, new.version, changed_sources, tuple(touched)
-    )
 
 
 class SourceRegistry:
     """Thread-safe, versioned registry of source descriptors.
 
     All mutations return the new :class:`RegistrySnapshot` and the
-    :class:`RegistryDiff` against the previous head. Readers call
-    :meth:`snapshot` once and hold the result; the head swap is atomic under
-    the registry lock, and snapshots are immutable, so readers never observe
-    a half-applied mutation.
+    :class:`RegistryDiff` against the previous head. A rejected mutation
+    raises :class:`~repro.exceptions.SourceError` and leaves the head as it
+    was. Readers call :meth:`snapshot` once and hold the result; the head
+    swap is atomic under the registry lock, and snapshots are immutable, so
+    readers never observe a half-applied mutation.
     """
 
     def __init__(
@@ -169,6 +124,7 @@ class SourceRegistry:
             return self._head
 
     def version(self) -> int:
+        """The head's version number."""
         with self._lock:
             return self._head.version
 
@@ -180,31 +136,8 @@ class SourceRegistry:
     ) -> Tuple[RegistrySnapshot, RegistryDiff]:
         old = self._head
         new = RegistrySnapshot(old.version + 1, collection, domain)
-
-        # Diffing decomposes both snapshots, interning the new collection's
-        # constants and facts into the process-wide symbol table. If the
-        # mutation aborts (e.g. an extension fact outside the domain), those
-        # IDs would leak — interned by a version that never became head. The
-        # exclusive interning lock blocks other threads' interning across the
-        # mutate-or-rollback window, making snapshot truncation sound.
-        from repro.core.symbols import global_table
-
-        table = global_table()
-        with table.exclusive():
-            symbols = table.snapshot()
-            had_old_instance = old._instance is not None
-            try:
-                diff = diff_snapshots(old, new, changed)
-            except BaseException:
-                if not had_old_instance:
-                    # The old decomposition was first built during the failed
-                    # diff; drop it so nothing retains rolled-back interning.
-                    with old._lock:
-                        old._instance = None
-                table.rollback(symbols)
-                raise
         self._head = new
-        return new, diff
+        return new, RegistryDiff(old.version, new.version, changed)
 
     def register(
         self, source: SourceDescriptor
@@ -250,7 +183,7 @@ class SourceRegistry:
     def set_domain(
         self, domain: Sequence
     ) -> Tuple[RegistrySnapshot, RegistryDiff]:
-        """Replace the finite domain (touches every block)."""
+        """Replace the finite domain (every source counts as changed)."""
         with self._lock:
             old = self._head
             names = frozenset(s.name for s in old.collection)

@@ -33,6 +33,7 @@ class RequestStatus(enum.Enum):
 
     @property
     def is_terminal_failure(self) -> bool:
+        """Whether the request ended without an answer (any status but OK)."""
         return self is not RequestStatus.OK
 
 
@@ -57,6 +58,7 @@ class ConfidenceRequest:
     query: Optional[ConjunctiveQuery] = None
 
     def expired(self, now: float) -> bool:
+        """Whether the deadline has passed at loop time *now*."""
         return self.deadline is not None and now > self.deadline
 
 
@@ -98,6 +100,7 @@ class ServiceResponse:
 
     @property
     def ok(self) -> bool:
+        """Whether the request was answered (status OK)."""
         return self.status is RequestStatus.OK
 
     def to_dict(self) -> Dict[str, object]:

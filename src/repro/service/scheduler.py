@@ -208,6 +208,7 @@ class RequestScheduler:
     # -- lifecycle ---------------------------------------------------------------
 
     async def start(self) -> None:
+        """Open the admission queue and start the worker (idempotent)."""
         if self._running:
             return
         self._queue = asyncio.Queue(maxsize=self.config.max_queue)

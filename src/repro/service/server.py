@@ -6,7 +6,7 @@ build it, ask it, drop it — the service is the deployment shape the paper's
 flight*. It owns:
 
 * a :class:`~repro.service.registry.SourceRegistry` (versioned, COW
-  snapshots; a mutation retires the superseded version's derived caches),
+  snapshots; a mutation validates the new version, then swaps the head),
 * a :class:`~repro.service.scheduler.RequestScheduler` (bounded admission,
   deadlines, micro-batching, the per-source availability pass),
 * a :class:`~repro.service.faults.PerSourceGateway` as the source-read
@@ -22,7 +22,8 @@ Use it as an async context manager::
         assert response.ok
 
 Mutations are thread-safe and may be called from outside the loop; queries
-run on the loop the service was started on.
+run on the loop the service was started on. An invalid mutation raises
+:class:`~repro.exceptions.SourceError` and leaves the head version serving.
 """
 
 from __future__ import annotations
@@ -70,10 +71,12 @@ class MediatorService:
     # -- lifecycle ---------------------------------------------------------------
 
     async def start(self) -> "MediatorService":
+        """Start the scheduler's batching worker on the running loop."""
         await self.scheduler.start()
         return self
 
     async def stop(self) -> None:
+        """Stop the batching worker; requests still queued are rejected."""
         await self.scheduler.stop()
 
     async def __aenter__(self) -> "MediatorService":
@@ -107,23 +110,34 @@ class MediatorService:
         return await self.scheduler.submit(facts, timeout=timeout, query=query)
 
     # -- registry mutations (thread-safe; retire the old version's contexts) ----
+    #
+    # Each one raises SourceError with the head unchanged when the new
+    # collection fails repro.confidence.blocks.check_identity_collection.
 
     def register_source(self, source: SourceDescriptor) -> RegistryDiff:
+        """Add *source*, or raise ``SourceError`` with the head unchanged
+        (its name is taken, or the new collection is invalid)."""
         _snapshot, diff = self.registry.register(source)
         self._after_mutation(diff)
         return diff
 
     def update_source(self, source: SourceDescriptor) -> RegistryDiff:
+        """Replace the source of *source*'s name, or raise ``SourceError``
+        with the head unchanged (no such name, or an invalid collection)."""
         _snapshot, diff = self.registry.update(source)
         self._after_mutation(diff)
         return diff
 
     def deregister_source(self, name: str) -> RegistryDiff:
+        """Remove the source *name*, or raise ``SourceError`` with the head
+        unchanged when no source has that name."""
         _snapshot, diff = self.registry.deregister(name)
         self._after_mutation(diff)
         return diff
 
     def set_domain(self, domain: Sequence) -> RegistryDiff:
+        """Replace the domain, or raise ``SourceError`` with the head
+        unchanged when an extension constant falls outside it."""
         _snapshot, diff = self.registry.set_domain(domain)
         self._after_mutation(diff)
         return diff
@@ -139,9 +153,6 @@ class MediatorService:
         self.scheduler.retire_versions(diff.new_version)
         self.metrics.counter("registry_mutations").inc()
         self.metrics.gauge("registry_version").set(diff.new_version)
-        self.metrics.histogram("touched_blocks").observe(
-            len(diff.touched_blocks)
-        )
 
     # -- observability -----------------------------------------------------------
 
@@ -188,4 +199,5 @@ class MediatorService:
         }
 
     def recent_spans(self) -> List[Dict[str, object]]:
+        """The tracer's retained spans, oldest first."""
         return self.tracer.export()

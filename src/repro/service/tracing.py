@@ -65,6 +65,7 @@ class Span:
         return self.tracer.span(name, parent=self, **attributes)
 
     def to_dict(self) -> Dict[str, object]:
+        """JSON-serializable form: name, IDs, duration and attributes."""
         return {
             "name": self.name,
             "span_id": self.span_id,
@@ -87,6 +88,7 @@ class Tracer:
     def span(
         self, name: str, parent: Optional[Span] = None, **attributes
     ) -> Span:
+        """Start a span named *name*, under *parent* when one is given."""
         with self._lock:
             self.spans_started += 1
             span_id = next(self._ids)

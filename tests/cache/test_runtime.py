@@ -175,24 +175,6 @@ class TestCacheRegistryBus:
         assert registry.invalidate_tags(["w"]) == {}
         assert registry.invalidate_tags([]) == {}
 
-    def test_symbol_rollback_flushes_every_enrolled_cache(self):
-        registry = CacheRegistry()
-        ids = registry.enroll(LRUMemo(name="ids"))
-        values = registry.enroll(LRUMemo(name="values"))
-        private = LRUMemo(name="private")  # not enrolled: left alone
-        ids.store("k", 1)
-        values.store("k", 2)
-        values.store("j", 3)
-        private.store("k", 4)
-        registry.on_symbol_rollback(0)  # no-op: nothing was truncated
-        assert len(ids) == 1 and len(values) == 2
-        registry.on_symbol_rollback(3)
-        assert len(ids) == 0 and len(values) == 0
-        assert len(private) == 1
-        assert ids.stats().invalidations == 1
-        assert values.stats().invalidations == 2
-        assert registry.rollback_flushes == 1
-
     def test_stats_tree_aggregates_per_cache_counters(self):
         registry, a, b = make_registry_pair(budget=10_000)
         a.store("k", 1)

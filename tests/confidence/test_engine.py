@@ -360,23 +360,6 @@ def test_confidence_line_is_priced_above_a_count_line():
     assert confidence_line > count_line > 0
 
 
-def test_symbol_rollback_flushes_confidence_lines():
-    """Memo keys hold interned completeness IDs, so a rollback that
-    truncates the symbol table flushes the shared memo's lines."""
-    from repro.core import global_table
-
-    with ConfidenceEngine(asymmetric_example51(), DOMAIN) as engine:
-        engine.confidences()
-        key, _order = canonical_key(kernel.reduce_spec(engine.spec))
-    assert (CONFIDENCES, key) in engine.memo
-    table = global_table()
-    with table.exclusive():
-        before = table.snapshot()
-        table.constant("interned-then-rolled-back")
-        assert table.rollback(before) == 1
-    assert (CONFIDENCES, key) not in engine.memo
-
-
 def test_stats_sanity():
     with ConfidenceEngine(example51(), DOMAIN, cache_size=0) as engine:
         engine.confidences()

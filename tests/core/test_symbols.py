@@ -1,4 +1,4 @@
-"""Unit tests for the symbol table: interning, namespaces, transactions."""
+"""Unit tests for the symbol table: interning, namespaces, publication."""
 
 from __future__ import annotations
 
@@ -143,66 +143,6 @@ def test_ids_are_published_after_their_reverse_entry(namespace):
         table.fact(rid, (cid,))
         expected = [(rid, cid)]
     assert probe.resolved == expected
-
-
-def test_snapshot_rollback_truncates_every_namespace():
-    table = SymbolTable()
-    r = table.relation("R")
-    a = table.constant("a")
-    table.fact(r, (a,))
-    snap = table.snapshot()
-
-    b = table.constant("b")
-    assert table.constant_term(b) == Constant("b")
-    table.variable("x")
-    s = table.relation("S")
-    table.fact(r, (b,))
-    table.iatom(s, (b,))
-    removed = table.rollback(snap)
-
-    assert removed == 5
-    assert table.counts() == snap
-    assert table.find_constant("b") is None
-    assert table.find_relation("S") is None
-    # Pre-snapshot symbols survive with their IDs intact.
-    assert table.constant("a") == a
-    assert table.relation("R") == r
-    # Re-interning after rollback reuses the freed dense range, and the
-    # freed ID's boxed term is the new constant's.
-    assert table.constant("z") == b
-    assert table.constant_term(b) == Constant("z")
-
-
-def test_rollback_under_exclusive_lock_is_thread_safe():
-    table = SymbolTable()
-    stop = threading.Event()
-    errors = []
-
-    def intern_loop():
-        i = 0
-        while not stop.is_set():
-            try:
-                cid = table.constant(f"bg{i % 50}")
-                if table.constant_value(cid) != f"bg{i % 50}":
-                    errors.append("id remapped under rollback")
-            except Exception as exc:  # pragma: no cover - failure reporting
-                errors.append(repr(exc))
-            i += 1
-
-    thread = threading.Thread(target=intern_loop)
-    thread.start()
-    try:
-        for round_ in range(200):
-            with table.exclusive():
-                snap = table.snapshot()
-                table.constant(("txn", round_))
-                table.relation(f"Txn{round_}")
-                table.rollback(snap)
-                assert table.counts() == snap
-    finally:
-        stop.set()
-        thread.join()
-    assert errors == []
 
 
 def test_concurrent_interning_and_decoding_agree():

@@ -117,32 +117,3 @@ class TestDerivedVersions:
         assert child == GlobalDatabase([fact("Rm", "kept", 1)])
         assert child.core() == GlobalDatabase(child.facts()).core()
         assert table.find_constant("never-stored") is None
-
-    def test_write_across_a_symbol_rollback(self):
-        # The parent's core is built before the snapshot; symbols interned
-        # in the window are freed, and the write then reassigns their IDs.
-        # The derived core must name the reassigned IDs, like a fresh one.
-        from repro.core import global_table
-        from repro.core.adapters import to_core_database
-
-        table = global_table()
-        parent = GlobalDatabase([fact("Rw", "a", 1), fact("Rw", "b", 2)])
-        parent.core()
-        with table.exclusive():
-            snapshot = table.snapshot()
-            window = parent.with_facts([fact("Rw", "in-window", 3)])
-            assert window.core() == to_core_database(table, window)
-            freed = table.find_constant("in-window")
-            assert freed is not None and freed >= snapshot.constants
-            assert table.rollback(snapshot) > 0
-        child = parent.without_facts([fact("Rw", "a", 1)]).with_facts(
-            [fact("Rw", "after-rollback", 3)]
-        )
-        assert table.find_constant("after-rollback") == freed
-        expected = GlobalDatabase(
-            [fact("Rw", "b", 2), fact("Rw", "after-rollback", 3)]
-        )
-        assert child == expected
-        assert child.core().ids() == to_core_database(table, expected).ids()
-        decoded = GlobalDatabase.from_core(child.core())
-        assert decoded == expected

@@ -1,17 +1,26 @@
-"""Versioned registry: copy-on-write snapshots, diffs, memo reuse."""
+"""Versioned registry: copy-on-write snapshots, validate-then-swap,
+memo reuse."""
+
+import re
+import threading
 
 import pytest
 
+from repro.core import global_table
 from repro.exceptions import SourceError
 from repro.model import fact
-from repro.queries import identity_view
+from repro.queries import identity_view, parse_rule
 from repro.sources import SourceDescriptor
 from repro.confidence.engine import ConfidenceEngine, LRUMemo
-from repro.service import SourceRegistry, diff_snapshots
+from repro.service import MediatorService, SourceRegistry
 
 from tests.conftest import make_example51_collection
 
 DOMAIN = ["a", "b", "c", "d"]
+NOT_IDENTITY = re.escape(
+    "IdentityInstance requires all views to be identities over one global "
+    "relation (Section 5.1 special case)"
+)
 
 
 def make_registry() -> SourceRegistry:
@@ -79,60 +88,6 @@ class TestSnapshots:
         assert covered == {"R('a')", "R('b')", "R('c')"}
 
 
-class TestDiffs:
-    def test_update_touches_only_that_sources_blocks(self):
-        registry = make_registry()
-        old = registry.snapshot()
-        # Example 5.1 blocks: {a}@S1, {b}@S1∩S2, {c}@S2 — updating S2
-        # touches the b-block and the c-block, not the a-block.
-        _new, diff = registry.update(
-            old.collection.by_name("S2").with_bounds(soundness_bound=1)
-        )
-        assert not diff.full
-        instance = old.instance()
-        touched_facts = {
-            str(f)
-            for j in diff.touched_blocks
-            for f in instance.blocks[j].facts
-        }
-        assert touched_facts == {"R('b')", "R('c')"}
-
-    def test_register_disjoint_source_touches_nothing_old(self):
-        registry = make_registry()
-        _new, diff = registry.register(
-            SourceDescriptor(
-                identity_view("V4", "R", 1), [fact("V4", "d")], "1/2", 1,
-                name="S4",
-            )
-        )
-        # The new source claims only d, previously anonymous: no old
-        # block's membership or signature changed.
-        assert not diff.full
-        assert diff.touched_blocks == ()
-
-    def test_register_overlapping_source_touches_shared_blocks(self):
-        registry = make_registry()
-        old = registry.snapshot()
-        _new, diff = registry.register(s3("a"))  # S3 claims a
-        instance = old.instance()
-        touched_facts = {
-            str(f)
-            for j in diff.touched_blocks
-            for f in instance.blocks[j].facts
-        }
-        assert touched_facts == {"R('a')"}
-
-    def test_domain_change_is_full(self):
-        registry = make_registry()
-        _new, diff = registry.set_domain(["a", "b", "c", "d", "e"])
-        assert diff.full
-
-    def test_diff_against_empty_registry_is_full(self):
-        registry = SourceRegistry((), DOMAIN)
-        _new, diff = registry.register(s3())
-        assert diff.full
-
-
 class TestInvalidation:
     def test_untouched_entries_still_hit_after_unrelated_mutation(self):
         """A mutation retires no memo line: the old snapshot's confidence
@@ -155,118 +110,117 @@ class TestInvalidation:
                 assert engine.stats.tasks_dispatched == 0
 
 
-class TestAbortedMutationSymbolRollback:
-    """An aborted mutation must not leak symbol-table IDs (satellite of the
-    interned-core refactor): diffing interns the new collection's constants
-    and facts, and if the mutation raises before the head swap, the registry
-    rolls the process-wide table back to its pre-mutation snapshot and
-    flushes every enrolled cache.
+class TestRejectedMutations:
+    """A mutation checks the new collection by value, then swaps the head.
 
-    Each test's source carries constants of its own, in the registry's
-    domain but in no extension, so nothing interned them before the
-    mutation; the failure is injected after both decompositions, so the
-    rollback has something to remove.
+    An invalid collection (a non-identity view, an extension constant
+    outside the domain) raises ``SourceError`` with the decomposition's own
+    message before the head moves, and interns nothing. Each test's bad
+    source carries constants of its own, so nothing interned them before.
     """
 
-    @pytest.fixture
-    def fails_after_decomposition(self, monkeypatch):
-        """Make a diff raise once both snapshots are decomposed, when the
-        decomposition interned this test's constants; returns the constants
-        each injected failure saw interned."""
-        import repro.service.registry as registry_module
-        from repro.core import global_table
+    @staticmethod
+    def fresh(tag: str) -> str:
+        value = f"rejected-{tag}"
+        assert global_table().find_constant(value) is None
+        return value
 
-        seen = []
-        real_diff = registry_module.RegistryDiff
-
-        def diff_fails(*args, **kwargs):
-            table = global_table()
-            interned = {
-                v for v in self.fresh if table.find_constant(v) is not None
-            }
-            if not interned:
-                return real_diff(*args, **kwargs)
-            seen.append(interned)
-            raise SourceError("injected failure after decomposition")
-
-        monkeypatch.setattr(registry_module, "RegistryDiff", diff_fails)
-        return seen
-
-    def registry_with_fresh_constants(self, tag: str) -> SourceRegistry:
-        from repro.core import global_table
-
-        self.fresh = (f"rollback-{tag}-1", f"rollback-{tag}-2")
-        assert all(global_table().find_constant(v) is None for v in self.fresh)
-        return SourceRegistry(
-            make_example51_collection(), DOMAIN + list(self.fresh)
+    @staticmethod
+    def outside(value: str) -> str:
+        return re.escape(
+            f"extension fact R({value!r}) uses constants outside the "
+            f"domain: [Constant({value!r})]"
         )
 
-    def bad_source(self) -> SourceDescriptor:
-        return SourceDescriptor(
+    def assert_rejected(self, registry, mutate, match):
+        table = global_table()
+        head = registry.snapshot()
+        before = table.counts()
+        with pytest.raises(SourceError, match=match):
+            mutate()
+        assert registry.snapshot() is head
+        assert registry.version() == head.version
+        assert table.counts() == before
+
+    def test_register_outside_the_domain_into_an_empty_registry(self):
+        value = self.fresh("register")
+        registry = SourceRegistry((), DOMAIN)
+        source = SourceDescriptor(
+            identity_view("V9", "R", 1), [fact("V9", value)], 1, 1, name="S9"
+        )
+        self.assert_rejected(
+            registry, lambda: registry.register(source), self.outside(value)
+        )
+
+    def test_register_a_non_identity_view_into_an_empty_registry(self):
+        registry = SourceRegistry((), DOMAIN)
+        source = SourceDescriptor(
+            parse_rule("V9(x) <- R(x, y)"), [fact("V9", "a")], 1, 1,
+            name="S9",
+        )
+        self.assert_rejected(
+            registry, lambda: registry.register(source), NOT_IDENTITY
+        )
+
+    def test_set_domain_that_drops_an_extension_constant(self):
+        registry = make_registry()
+        self.assert_rejected(
+            registry,
+            lambda: registry.set_domain(["a", "b", "d"]),
+            self.outside("c"),
+        )
+
+    @pytest.mark.parametrize("build", [SourceRegistry, MediatorService])
+    def test_construction_over_an_invalid_collection(self, build):
+        value = self.fresh(f"build-{build.__name__}")
+        collection = make_example51_collection().extended(
+            SourceDescriptor(
+                identity_view("V9", "R", 1), [fact("V9", value)], 1, 1,
+                name="S9",
+            )
+        )
+        table = global_table()
+        before = table.counts()
+        with pytest.raises(SourceError, match=self.outside(value)):
+            build(collection, DOMAIN)
+        assert table.counts() == before
+
+    def bad_update(self, tag: str):
+        """A registry whose domain holds one of two fresh constants, and an
+        update of S2 that claims both."""
+        inside, outside = self.fresh(f"{tag}-in"), self.fresh(f"{tag}-out")
+        registry = SourceRegistry(make_example51_collection(), DOMAIN + [inside])
+        source = SourceDescriptor(
             identity_view("V2", "R", 1),
-            [fact("V2", value) for value in self.fresh],
+            [fact("V2", inside), fact("V2", outside)],
             "1/2",
             1,
             name="S2",
         )
+        return registry, source, outside
 
-    def test_aborted_update_rolls_back_interned_ids(
-        self, fails_after_decomposition
-    ):
-        from repro.cache import cache_registry
-        from repro.core import global_table
-
-        registry = self.registry_with_fresh_constants("update")
+    def test_rejected_update_interns_nothing(self):
+        registry, source, outside = self.bad_update("update")
         registry.snapshot().instance()  # decompose v0 up-front
-        table = global_table()
-        before = table.snapshot()
-        flushes = cache_registry().stats()["rollback_flushes"]
-        with pytest.raises(SourceError, match="injected failure"):
-            registry.update(self.bad_source())
-        assert fails_after_decomposition == [set(self.fresh)]
-        assert table.snapshot() == before
-        assert all(table.find_constant(v) is None for v in self.fresh)
-        assert cache_registry().stats()["rollback_flushes"] == flushes + 1
-        # The head never swapped and the registry still works.
-        assert registry.version() == 0
+        self.assert_rejected(
+            registry, lambda: registry.update(source), self.outside(outside)
+        )
         new, _diff = registry.register(s3())
         assert new.version == 1
 
-    def test_aborted_update_drops_old_caches_built_mid_mutation(
-        self, fails_after_decomposition
-    ):
-        from repro.cache import cache_registry
-        from repro.core import global_table
-
-        registry = self.registry_with_fresh_constants("midway")
-        # Do NOT touch old.instance() first: the old decomposition is built
-        # (and its symbols interned) inside the failed mutation itself, so
-        # keeping it would retain rolled-back IDs.
+    def test_a_mutation_builds_no_instance(self):
+        registry, source, outside = self.bad_update("lazy")
         old = registry.snapshot()
-        assert old._instance is None
-        table = global_table()
-        before = table.snapshot()
-        flushes = cache_registry().stats()["rollback_flushes"]
-        with pytest.raises(SourceError, match="injected failure"):
-            registry.update(self.bad_source())
-        assert fails_after_decomposition == [set(self.fresh)]
-        assert old._instance is None
-        assert table.snapshot() == before
-        assert all(table.find_constant(v) is None for v in self.fresh)
-        assert cache_registry().stats()["rollback_flushes"] == flushes + 1
-        # Rebuilding on demand re-interns cleanly.
+        self.assert_rejected(
+            registry, lambda: registry.update(source), self.outside(outside)
+        )
+        new, _diff = registry.register(s3())
+        assert old._instance is None and new._instance is None
         covered = {str(f) for f in old.covered_facts()}
         assert covered == {"R('a')", "R('b')", "R('c')"}
 
-    def test_interning_threads_survive_concurrent_aborts(
-        self, fails_after_decomposition
-    ):
-        import threading
-
-        from repro.core import global_table
-
-        registry = self.registry_with_fresh_constants("threads")
-        registry.snapshot().instance()
+    def test_interning_threads_survive_rejections(self):
+        registry, source, outside = self.bad_update("threads")
         table = global_table()
         stop = threading.Event()
         errors = []
@@ -277,7 +231,7 @@ class TestAbortedMutationSymbolRollback:
                 value = f"concurrent-{i % 20}"
                 cid = table.constant(value)
                 if table.constant_value(cid) != value:
-                    errors.append("interned ID remapped by rollback")
+                    errors.append("interned ID remapped")
                 i += 1
 
         thread = threading.Thread(target=intern_loop)
@@ -285,21 +239,18 @@ class TestAbortedMutationSymbolRollback:
         try:
             for _ in range(50):
                 with pytest.raises(SourceError):
-                    registry.update(self.bad_source())
+                    registry.update(source)
         finally:
             stop.set()
-            thread.join()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
         assert errors == []
-        assert fails_after_decomposition == [set(self.fresh)] * 50
-        assert all(table.find_constant(v) is None for v in self.fresh)
         assert registry.version() == 0
+        assert table.find_constant(outside) is None
 
 
 def test_diff_snapshots_repr_smoke():
     registry = make_registry()
-    old = registry.snapshot()
     new, diff = registry.register(s3())
-    assert "v0->v1" in repr(diff)
+    assert repr(diff) == "RegistryDiff(v0->v1, sources=['S3'])"
     assert "RegistrySnapshot(v1" in repr(new)
-    same = diff_snapshots(old, new, frozenset(["S3"]))
-    assert same.touched_blocks == diff.touched_blocks

@@ -2,10 +2,14 @@
 
 import asyncio
 import json
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
+from repro.exceptions import SourceError
 from repro.model import fact
 from repro.queries import identity_view
 from repro.sources import SourceDescriptor
@@ -133,6 +137,26 @@ class TestSnapshotIsolation:
         assert changed.confidences != first.confidences
         stats = memo.stats()
         assert (stats.hits, stats.misses, stats.size) == (1, 2, 2)
+
+    def test_a_rejected_set_domain_leaves_the_old_version_serving(self):
+        """Dropping an extension constant from the domain is rejected before
+        the head moves, so later requests still answer at version 0."""
+
+        async def scenario():
+            async with MediatorService(
+                make_example51_collection(), DOMAIN
+            ) as service:
+                with pytest.raises(SourceError, match=re.escape(
+                    "extension fact R('c') uses constants outside the "
+                    "domain: [Constant('c')]"
+                )):
+                    service.set_domain(["a", "b", "d"])
+                return await service.confidence([R_A, R_B, R_C, R_D])
+
+        response = run(scenario())
+        assert response.status is RequestStatus.OK
+        assert response.snapshot_version == 0
+        assert response.confidences[R_B] == Fraction(6, 7)
 
 
 def record_keys_and_sweeps(monkeypatch):

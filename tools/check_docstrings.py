@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
-"""Docstring-coverage lint for the plan, core, cache and model layers.
+"""Docstring-coverage lint for the plan, core, cache, model and service layers.
 
-Walks ``src/repro/plan``, ``src/repro/core``, ``src/repro/cache`` and
-``src/repro/model`` and checks that public
+Walks ``src/repro/plan``, ``src/repro/core``, ``src/repro/cache``,
+``src/repro/model`` and ``src/repro/service`` and checks that public
 functions, methods, and classes (names not starting with ``_``, excluding
 dunders except ``__init__`` which is exempt — the class docstring covers
 construction) carry docstrings. Fails when coverage drops below
@@ -23,6 +23,7 @@ from pathlib import Path
 
 PACKAGES = (
     "src/repro/plan", "src/repro/core", "src/repro/cache", "src/repro/model",
+    "src/repro/service",
 )
 THRESHOLD = 0.95
 
